@@ -17,6 +17,7 @@ from .dixon import summary_rows
 from .errors import CapExceeded
 from .experiments import (
     ExperimentConfig,
+    estimate_record,
     estimate_sync_probability,
     exact_sync_probability,
     explore_maximal_nonsync,
@@ -44,24 +45,17 @@ class UsageError(Exception):
     pass
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1: {value}")
-    return value
+def _int_at_least(minimum: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}: {value}")
+        return value
 
-
-def _nonneg_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative: {value}")
-    return value
+    return parse
 
 
 def _int_list(text: str) -> list[int]:
@@ -186,7 +180,7 @@ def _cmd_nearcon(args) -> int:
 
 
 def _generator_counts(args) -> tuple[int, int]:
-    if args.k is not None:
+    if getattr(args, "k", None) is not None:
         if args.perms is not None or args.maps_count is not None:
             raise UsageError("--k conflicts with --perms/--maps-count")
         return 0, args.k
@@ -201,31 +195,13 @@ def _cmd_estimate(args) -> int:
     r, s = _generator_counts(args)
     config = ExperimentConfig(args.n, r, s, args.trials, args.seed)
     est = estimate_sync_probability(config, threads=args.threads)
-    exact = f"1/{args.n}" if (r, s) == (0, 1) else None
-    _emit(
-        args,
-        {
-            "experiment": "estimate",
-            "n": args.n,
-            "r": r,
-            "s": s,
-            "trials": args.trials,
-            "seed": args.seed,
-            "successes": est.successes,
-            "estimate": est.estimate,
-            "ci_low": est.ci_low,
-            "ci_high": est.ci_high,
-            "exact": exact,
-        },
-    )
+    _emit(args, estimate_record("estimate", config, est))
     _note(f"estimate {est.estimate:.6f}  CI [{est.ci_low:.6f}, {est.ci_high:.6f}]")
     return 0
 
 
 def _cmd_exact(args) -> int:
-    if args.perms + args.maps_count < 1:
-        raise UsageError("need at least one generator (--perms + --maps-count >= 1)")
-    result = exact_sync_probability(args.n, args.perms, args.maps_count)
+    result = exact_sync_probability(args.n, *_generator_counts(args))
     _emit(args, {"exact": f"{result.numerator}/{result.denominator}"})
     _note(f"exact probability {result.numerator}/{result.denominator} ({result.context})")
     return 0
@@ -234,12 +210,11 @@ def _cmd_exact(args) -> int:
 def _cmd_sweep(args) -> int:
     import time
 
-    if args.perms + args.maps_count < 1:
-        raise UsageError("need at least one generator (--perms + --maps-count >= 1)")
+    r, s = _generator_counts(args)
     start = time.perf_counter()
     records = sweep(
         args.n,
-        [(args.perms, args.maps_count, args.trials)],
+        [(r, s, args.trials)],
         args.seed,
         threads=args.threads,
     )
@@ -279,6 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    positive, nonneg = _int_at_least(1), _int_at_least(0)
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="write machine output to this file instead of stdout")
@@ -305,52 +281,52 @@ def build_parser() -> argparse.ArgumentParser:
     graph_cmd("derived", _cmd_derived, "emit the derived graph (edges in maximum cliques)")
     endos = graph_cmd("endos", _cmd_endos, "enumerate or count graph endomorphisms")
     endos.add_argument("--count-only", action="store_true")
-    endos.add_argument("--cap", type=_positive_int, default=10**6)
+    endos.add_argument("--cap", type=positive, default=10**6)
     graph_cmd("nearcon", _cmd_nearcon, "check the maximal-non-synchronizing conditions")
 
     estimate = sub.add_parser(
         "estimate", help="Monte Carlo synchronization probability", parents=[common]
     )
-    estimate.add_argument("--n", type=_positive_int, required=True)
-    estimate.add_argument("--k", type=_positive_int, help="shorthand for --perms 0 --maps-count K")
-    estimate.add_argument("--perms", type=_nonneg_int, help="number of random permutations")
-    estimate.add_argument("--maps-count", type=_nonneg_int, help="number of random endofunctions")
-    estimate.add_argument("--trials", type=_positive_int, required=True)
+    estimate.add_argument("--n", type=positive, required=True)
+    estimate.add_argument("--k", type=positive, help="shorthand for --perms 0 --maps-count K")
+    estimate.add_argument("--perms", type=nonneg, help="number of random permutations")
+    estimate.add_argument("--maps-count", type=nonneg, help="number of random endofunctions")
+    estimate.add_argument("--trials", type=positive, required=True)
     estimate.add_argument("--seed", type=int, required=True)
-    estimate.add_argument("--threads", type=_positive_int, default=1,
+    estimate.add_argument("--threads", type=positive, default=1,
                           help="worker processes; results do not depend on this")
     estimate.set_defaults(func=_cmd_estimate)
 
     exact = sub.add_parser(
         "exact", help="exact synchronization probability by enumeration", parents=[common]
     )
-    exact.add_argument("--n", type=_positive_int, required=True)
-    exact.add_argument("--perms", type=_nonneg_int, required=True)
-    exact.add_argument("--maps-count", type=_nonneg_int, required=True)
+    exact.add_argument("--n", type=positive, required=True)
+    exact.add_argument("--perms", type=nonneg, required=True)
+    exact.add_argument("--maps-count", type=nonneg, required=True)
     exact.set_defaults(func=_cmd_exact)
 
     sweep_p = sub.add_parser("sweep", help="batch of estimates over several n", parents=[common])
     sweep_p.add_argument("--n", type=_int_list, required=True,
                          help="comma-separated degrees, e.g. 10,20,40 (empty allowed)")
-    sweep_p.add_argument("--perms", type=_nonneg_int, required=True)
-    sweep_p.add_argument("--maps-count", type=_nonneg_int, required=True)
-    sweep_p.add_argument("--trials", type=_positive_int, required=True)
+    sweep_p.add_argument("--perms", type=nonneg, required=True)
+    sweep_p.add_argument("--maps-count", type=nonneg, required=True)
+    sweep_p.add_argument("--trials", type=positive, required=True)
     sweep_p.add_argument("--seed", type=int, required=True)
-    sweep_p.add_argument("--threads", type=_positive_int, default=1)
+    sweep_p.add_argument("--threads", type=positive, default=1)
     sweep_p.set_defaults(func=_cmd_sweep)
 
     explore = sub.add_parser("explore", help="scan all graphs on n vertices", parents=[common])
-    explore.add_argument("--n", type=_positive_int, required=True)
+    explore.add_argument("--n", type=positive, required=True)
     explore.add_argument("--canonical", action="store_true",
                          help="one representative per isomorphism class "
                               "(recommended for n >= 5)")
-    explore.add_argument("--cap", type=_positive_int, default=10**6)
+    explore.add_argument("--cap", type=positive, default=10**6)
     explore.set_defaults(func=_cmd_explore)
 
     dixon = sub.add_parser(
         "dixon", help="exact transitive-pair table for random permutations", parents=[common]
     )
-    dixon.add_argument("--max-n", type=_positive_int, required=True)
+    dixon.add_argument("--max-n", type=positive, required=True)
     dixon.set_defaults(func=_cmd_dixon)
 
     return parser

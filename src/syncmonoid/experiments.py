@@ -10,8 +10,10 @@ generators.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,6 +31,7 @@ from .graphs import (
     enumerate_graphs,
     hull,
     is_maximal_nonsynchronizing,
+    pair_numbering,
 )
 from .rng import derive_seed, substream
 from .stats import EstimateWithCI, make_estimate
@@ -87,23 +90,20 @@ class ExactResult:
 # ---------------------------------------------------------------------------
 # fast bulk synchronization test
 
-_PAIR_CACHE: dict[int, tuple] = {}
 
-
+@functools.lru_cache(maxsize=None)
 def _pair_arrays(n: int):
-    cached = _PAIR_CACHE.get(n)
-    if cached is None:
-        vs, ws = [], []
-        for v in range(n):
-            for w in range(v + 1, n):
-                vs.append(v)
-                ws.append(w)
-        offs = np.array(
-            [v * (2 * n - v - 1) // 2 - (v + 1) for v in range(n)], dtype=np.int64
-        )
-        cached = (np.array(vs, dtype=np.int64), np.array(ws, dtype=np.int64), offs)
-        _PAIR_CACHE[n] = cached
-    return cached
+    """``pair_numbering(n)`` as read-only int64 arrays: first points,
+    second points, offsets."""
+    pairs, offs = pair_numbering(n)
+    arrays = (
+        np.array([v for v, _ in pairs], dtype=np.int64),
+        np.array([w for _, w in pairs], dtype=np.int64),
+        np.array(offs, dtype=np.int64),
+    )
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 def _all_pairs_collapsible(n: int, image_tables) -> bool:
@@ -194,7 +194,9 @@ def estimate_sync_probability(config: ExperimentConfig, threads: int = 1) -> Est
             base + (lo, min(lo + chunk, config.trials))
             for lo in range(0, config.trials, chunk)
         ]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        # a forking pool starts all its workers at once: no more than can work
+        workers = min(threads, len(jobs), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             successes = sum(pool.map(_run_chunk, jobs))
     return make_estimate(successes, config.trials)
 
@@ -214,8 +216,7 @@ def exact_sync_probability(n: int, r: int, s: int) -> ExactResult:
     if n < 1 or r < 0 or s < 0 or r + s < 1:
         raise ValueError("need n >= 1 and at least one generator")
     if r == 0 and s == 1:
-        frac = Fraction(n ** (n - 1), n**n)
-        return ExactResult.from_fraction(frac, f"closed form {n}^{n - 1}/{n}^{n}")
+        return ExactResult.from_fraction(Fraction(1, n), f"closed form {n}^{n - 1}/{n}^{n}")
     total = math.factorial(n) ** r * (n**n) ** s
     if total > ENUMERATION_GUARD:
         raise ValueError(
@@ -364,6 +365,28 @@ def explore_maximal_nonsync(
 # batch driver
 
 
+def estimate_record(experiment: str, config: ExperimentConfig, est: EstimateWithCI) -> dict:
+    """The JSON record of one estimate, with the exact value where a closed
+    form is known (a single endofunction)."""
+    exact = None
+    if (config.num_permutations, config.num_endofunctions) == (0, 1):
+        result = exact_sync_probability(config.n, 0, 1)
+        exact = f"{result.numerator}/{result.denominator}"
+    return {
+        "experiment": experiment,
+        "n": config.n,
+        "r": config.num_permutations,
+        "s": config.num_endofunctions,
+        "trials": config.trials,
+        "seed": config.seed,
+        "successes": est.successes,
+        "estimate": est.estimate,
+        "ci_low": est.ci_low,
+        "ci_high": est.ci_high,
+        "exact": exact,
+    }
+
+
 def sweep(n_values, configs, seed: int, threads: int = 1) -> list[dict]:
     """One record per (n, (r, s, trials)) combination.
 
@@ -379,23 +402,5 @@ def sweep(n_values, configs, seed: int, threads: int = 1) -> list[dict]:
             index += 1
             config = ExperimentConfig(n, r, s, trials, record_seed)
             est = estimate_sync_probability(config, threads=threads)
-            exact = None
-            if r == 0 and s == 1:
-                frac = Fraction(1, n)
-                exact = f"{frac.numerator}/{frac.denominator}"
-            records.append(
-                {
-                    "experiment": "sweep",
-                    "n": n,
-                    "r": r,
-                    "s": s,
-                    "trials": trials,
-                    "seed": record_seed,
-                    "successes": est.successes,
-                    "estimate": est.estimate,
-                    "ci_low": est.ci_low,
-                    "ci_high": est.ci_high,
-                    "exact": exact,
-                }
-            )
+            records.append(estimate_record("sweep", config, est))
     return records

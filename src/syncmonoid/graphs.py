@@ -8,6 +8,7 @@ brute-force maximality test for the endomorphism monoid.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -107,6 +108,20 @@ def _bits(mask: int):
         v = (mask & -mask).bit_length() - 1
         yield v
         mask &= mask - 1
+
+
+@functools.lru_cache(maxsize=None)
+def pair_numbering(n: int) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
+    """The n(n-1)/2 unordered pairs of distinct points, in lexicographic
+    order, and offsets such that pair (v, w) with v < w has index
+    ``offs[v] + w``.
+
+    These slots are both the states of the pair automaton and the possible
+    edges of a graph, so every module numbers pairs through this one table.
+    """
+    pairs = tuple((v, w) for v in range(n) for w in range(v + 1, n))
+    offs = tuple(v * (2 * n - v - 1) // 2 - (v + 1) for v in range(n))
+    return pairs, offs
 
 
 # ---------------------------------------------------------------------------
@@ -441,19 +456,15 @@ def is_maximal_nonsynchronizing(x: SimpleGraph, cap: int = 10**6) -> bool:
         if len(endos) > cap:
             raise CapExceeded("endomorphism enumeration exceeded cap", len(endos))
 
-    pair_index = {}
-    pairs = []
-    for v in range(n):
-        for w in range(v + 1, n):
-            pair_index[(v, w)] = len(pairs)
-            pairs.append((v, w))
+    pairs, offs = pair_numbering(n)
     merged = len(pairs)  # virtual absorbing node
 
     def step(imgs, p):
-        a, b = imgs[pairs[p][0]], imgs[pairs[p][1]]
+        v, w = pairs[p]
+        a, b = imgs[v], imgs[w]
         if a == b:
             return merged
-        return pair_index[(a, b) if a < b else (b, a)]
+        return offs[a] + b if a < b else offs[b] + a
 
     # reverse one-step reachability under any element of End(x)
     rev_m = [set() for _ in range(merged + 1)]
@@ -490,77 +501,57 @@ def is_maximal_nonsynchronizing(x: SimpleGraph, cap: int = 10**6) -> bool:
 # enumeration of small graphs
 
 
-def _pair_order(n: int) -> list[tuple[int, int]]:
-    return [(v, w) for v in range(n) for w in range(v + 1, n)]
-
-
 def adjacency_bits(x: SimpleGraph) -> int:
     """Adjacency as an integer, pair (0,1) in the most significant bit."""
-    pairs = _pair_order(x.n)
-    total = len(pairs)
+    pairs, _ = pair_numbering(x.n)
     value = 0
-    for p, (v, w) in enumerate(pairs):
-        if x.has_edge(v, w):
-            value |= 1 << (total - 1 - p)
+    for v, w in pairs:
+        value = value << 1 | (x.rows[v] >> w & 1)
     return value
+
+
+@functools.lru_cache(maxsize=None)
+def _relabelings(n: int) -> tuple[tuple[int, ...], ...]:
+    """One slot map per vertex permutation.  Entry p is the bit position, in
+    ``adjacency_bits`` of a graph, of the pair that pair p becomes when the
+    vertices are renamed by the permutation."""
+    pairs, offs = pair_numbering(n)
+    top = len(pairs) - 1
+    maps = []
+    for perm in itertools.permutations(range(n)):
+        mapping = []
+        for v, w in pairs:
+            a, b = perm[v], perm[w]
+            mapping.append(top - (offs[a] + b if a < b else offs[b] + a))
+        maps.append(tuple(mapping))
+    return tuple(maps)
+
+
+def _relabel(value: int, mapping) -> int:
+    """Adjacency bits of the graph relabeled by ``mapping``: slot p takes the
+    bit at position mapping[p] of ``value``."""
+    out = 0
+    for bit in mapping:
+        out = out << 1 | (value >> bit & 1)
+    return out
 
 
 def canonical_form(x: SimpleGraph) -> int:
     """Lexicographically least adjacency bitstring over all vertex
     relabelings.  Brute force over n! permutations; meant for n <= 8."""
-    n = x.n
-    pairs = _pair_order(n)
-    total = len(pairs)
-    best = None
-    for perm in itertools.permutations(range(n)):
-        value = 0
-        for p, (v, w) in enumerate(pairs):
-            pv, pw = perm[v], perm[w]
-            if x.has_edge(pv, pw):
-                value |= 1 << (total - 1 - p)
-        if best is None or value < best:
-            best = value
-    return best
-
-
-def _graph_from_bits(n: int, value: int, pairs, total: int) -> SimpleGraph:
-    rows = [0] * n
-    for p, (v, w) in enumerate(pairs):
-        if value >> (total - 1 - p) & 1:
-            rows[v] |= 1 << w
-            rows[w] |= 1 << v
-    return SimpleGraph(n, rows)
+    value = adjacency_bits(x)
+    return min(_relabel(value, mapping) for mapping in _relabelings(x.n))
 
 
 def enumerate_graphs(n: int, canonical: bool = False):
     """All labeled graphs on n vertices in bitstring order, or one
     representative (the lex-least labeling) per isomorphism class."""
-    pairs = _pair_order(n)
+    pairs, _ = pair_numbering(n)
     total = len(pairs)
-    perm_maps = None
-    if canonical:
-        # position of each pair slot under every nonidentity relabeling
-        slot = {pair: p for p, pair in enumerate(pairs)}
-        perm_maps = []
-        for perm in itertools.permutations(range(n)):
-            if perm == tuple(range(n)):
-                continue
-            mapping = []
-            for v, w in pairs:
-                pv, pw = perm[v], perm[w]
-                mapping.append(slot[(pv, pw) if pv < pw else (pw, pv)])
-            perm_maps.append(mapping)
+    maps = _relabelings(n) if canonical else ()
     for value in range(1 << total):
-        if canonical:
-            minimal = True
-            for mapping in perm_maps:
-                permuted = 0
-                for p in range(total):
-                    if value >> (total - 1 - mapping[p]) & 1:
-                        permuted |= 1 << (total - 1 - p)
-                if permuted < value:
-                    minimal = False
-                    break
-            if not minimal:
-                continue
-        yield _graph_from_bits(n, value, pairs, total)
+        if any(_relabel(value, mapping) < value for mapping in maps):
+            continue
+        yield SimpleGraph.from_edges(
+            n, [pair for p, pair in enumerate(pairs) if value >> (total - 1 - p) & 1]
+        )

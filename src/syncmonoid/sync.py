@@ -19,7 +19,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import CapExceeded
-from .graphs import SimpleGraph
+from .graphs import SimpleGraph, pair_numbering
 from .transform import Endofunction
 
 Word = tuple[int, ...]  # generator indices; empty word = identity
@@ -102,11 +102,6 @@ class CollapsibilityTable:
         return tuple(word)
 
 
-def _pair_offsets(n: int) -> list[int]:
-    # index of pair (v, w), v < w, is offs[v] + w
-    return [v * (2 * n - v - 1) // 2 - (v + 1) for v in range(n)]
-
-
 def collapsible_pairs(gens: GeneratorSet) -> CollapsibilityTable:
     """Backward closure on the pair automaton.
 
@@ -116,8 +111,8 @@ def collapsible_pairs(gens: GeneratorSet) -> CollapsibilityTable:
     in index order, so witnesses (hence words) are reproducible.
     """
     n = gens.n
-    offs = _pair_offsets(n)
-    pair_count = n * (n - 1) // 2
+    pairs, offs = pair_numbering(n)
+    pair_count = len(pairs)
     collapsible = [False] * pair_count
     wit_gen: list[int | None] = [None] * pair_count
     wit_next: list[int | None] = [None] * pair_count
@@ -125,20 +120,17 @@ def collapsible_pairs(gens: GeneratorSet) -> CollapsibilityTable:
     queue: deque[int] = deque()
 
     images = [g.images for g in gens.generators]
-    for v in range(n):
-        base = offs[v]
-        for w in range(v + 1, n):
-            p = base + w
-            for gi, imgs in enumerate(images):
-                a, b = imgs[v], imgs[w]
-                if a == b:
-                    if not collapsible[p]:
-                        collapsible[p] = True
-                        wit_gen[p] = gi
-                        queue.append(p)
-                else:
-                    q = offs[a] + b if a < b else offs[b] + a
-                    rev[q].append((p, gi))
+    for p, (v, w) in enumerate(pairs):
+        for gi, imgs in enumerate(images):
+            a, b = imgs[v], imgs[w]
+            if a == b:
+                if not collapsible[p]:
+                    collapsible[p] = True
+                    wit_gen[p] = gi
+                    queue.append(p)
+            else:
+                q = offs[a] + b if a < b else offs[b] + a
+                rev[q].append((p, gi))
 
     while queue:
         q = queue.popleft()
@@ -155,13 +147,9 @@ def collapsible_pairs(gens: GeneratorSet) -> CollapsibilityTable:
 def separation_graph(gens: GeneratorSet) -> SimpleGraph:
     """Graph on the points whose edges are the non-collapsible pairs."""
     table = collapsible_pairs(gens)
-    n = gens.n
-    edges = []
-    for v in range(n):
-        for w in range(v + 1, n):
-            if not table.collapsible[table.pair_index(v, w)]:
-                edges.append((v, w))
-    return SimpleGraph.from_edges(n, edges)
+    pairs, _ = pair_numbering(gens.n)
+    edges = [pair for pair, ok in zip(pairs, table.collapsible) if not ok]
+    return SimpleGraph.from_edges(gens.n, edges)
 
 
 def separation_graph_of_elements(elements) -> SimpleGraph:

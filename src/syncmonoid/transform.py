@@ -120,50 +120,33 @@ class PeriodicitySummary:
 
 
 def periodicity(f: Endofunction) -> PeriodicitySummary:
-    """Iterate image sets to their fixed point.
+    """Periodic points and cycle lengths, read off one walk over the map.
 
-    The image chain f(X) >= f^2(X) >= ... stabilizes exactly at the set of
-    periodic points, in at most n steps; f restricted there is a permutation,
-    whose cycle lengths we read off.
+    The periodic points are exactly the image of f^n; f restricted to them
+    is a permutation, whose cycles the walk finds one by one.
     """
-    imgs = f.images
-    current = set(imgs)
-    while True:
-        nxt = {imgs[v] for v in current}
-        if len(nxt) == len(current):
-            break
-        current = nxt
-    seen = set()
-    cycles = []
-    for start in sorted(current):
-        if start in seen:
-            continue
-        length = 0
-        v = start
-        while v not in seen:
-            seen.add(v)
-            length += 1
-            v = imgs[v]
-        cycles.append(length)
-    return PeriodicitySummary(frozenset(current), tuple(sorted(cycles)))
+    cycles = list(_cycles(f.images))
+    points = frozenset(v for cycle in cycles for v in cycle)
+    return PeriodicitySummary(points, tuple(sorted(len(cycle) for cycle in cycles)))
 
 
 def has_unique_periodic_point(f: Endofunction) -> bool:
     """True iff exactly one point of f is periodic (iff f eventually collapses
     everything to one fixed point, i.e. some power of f has rank 1).
 
-    Single O(n) sweep marking each point's eventual cycle; bails out as soon
-    as a second periodic point is known.
+    Stops walking as soon as the first cycle is longer than one point or a
+    second cycle turns up.
     """
-    return _count_periodic(f.images, limit=2) == 1
+    cycles = _cycles(f.images)
+    return len(next(cycles)) == 1 and next(cycles, None) is None
 
 
-def _count_periodic(imgs, limit=None) -> int:
+def _cycles(imgs):
+    """Yield each cycle of the map once, as a list of its points, from a
+    single O(n) walk that follows every point to its eventual cycle."""
     # state: 0 unvisited, 1 on current walk, 2 finished
-    n = len(imgs)
-    state = [0] * n
-    periodic = 0
-    for start in range(n):
+    state = [0] * len(imgs)
+    for start in range(len(imgs)):
         if state[start]:
             continue
         path = []
@@ -173,13 +156,9 @@ def _count_periodic(imgs, limit=None) -> int:
             path.append(v)
             v = imgs[v]
         if state[v] == 1:
-            # found a new cycle: count from v's position in the walk
-            periodic += len(path) - path.index(v)
-            if limit is not None and periodic >= limit:
-                return periodic
+            yield path[path.index(v):]
         for w in path:
             state[w] = 2
-    return periodic
 
 
 def random_endofunction(n: int, stream: Stream) -> Endofunction:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -128,6 +129,15 @@ class TestExperimentsCommands:
         assert code == 2
         assert "usage error" in err
 
+    @pytest.mark.parametrize("command", ["exact", "sweep"])
+    def test_exact_and_sweep_require_a_generator(self, capsys, command):
+        argv = [command, "--n", "5", "--perms", "0", "--maps-count", "0"]
+        if command == "sweep":
+            argv += ["--trials", "10", "--seed", "1"]
+        code, _, err = run(capsys, argv)
+        assert code == 2
+        assert "usage error" in err
+
     def test_sweep_json_lines(self, capsys):
         argv = [
             "sweep", "--n", "4,5", "--perms", "0", "--maps-count", "2",
@@ -213,3 +223,29 @@ class TestErrorHandling:
         with pytest.raises(SystemExit) as exc:
             main(["estimate", "--n", "0", "--k", "1", "--trials", "5", "--seed", "1"])
         assert exc.value.code == 2
+
+
+GOLDEN_DIR = Path(__file__).resolve().parent.parent / "bench" / "golden"
+
+
+class TestGoldenOutputs:
+    """The benchmark's Monte Carlo workloads at their default seeds, with the
+    same arguments as bench/workloads.py, must reproduce the committed golden
+    output byte for byte."""
+
+    def test_estimate_k1_seed7(self, capsys):
+        argv = ["estimate", "--n", "30", "--k", "1", "--trials", "10000",
+                "--seed", "7", "--threads", "1"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert out == (GOLDEN_DIR / "mc_k1.seed7.out").read_text()
+
+    def test_sweep_pairs_seed99(self, capsys):
+        out = ""
+        for perms, maps_count in [("0", "2"), ("1", "1")]:
+            argv = ["sweep", "--n", "10,20,40,80", "--perms", perms, "--maps-count", maps_count,
+                    "--trials", "500", "--seed", "99", "--threads", "1"]
+            code, text, _ = run(capsys, argv)
+            assert code == 0
+            out += text
+        assert out == (GOLDEN_DIR / "mc_pairs.seed99.out").read_text()

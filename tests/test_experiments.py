@@ -1,5 +1,6 @@
 import itertools
 import json
+import os
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from syncmonoid import (
     sweep,
     wilson_interval,
 )
+from syncmonoid import experiments
 from syncmonoid.experiments import _all_pairs_collapsible
 
 from conftest import build_instances
@@ -96,6 +98,28 @@ class TestEstimate:
         assert estimate_sync_probability(config, threads=1) == estimate_sync_probability(
             config, threads=2
         )
+
+    def test_worker_count_is_clamped(self, monkeypatch):
+        created = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                created.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", InProcessPool)
+        config = ExperimentConfig(5, 0, 2, 10, seed=3)
+        est = estimate_sync_probability(config, threads=5000)
+        assert created == [min(10, os.cpu_count() or 1)]
+        assert est == estimate_sync_probability(config, threads=1)
 
     def test_permutations_alone_never_synchronize(self):
         config = ExperimentConfig(5, 2, 0, 200, seed=4)

@@ -28,6 +28,7 @@ from syncmonoid import (
     separation_graph,
     substream,
 )
+from syncmonoid.graphs import pair_numbering
 
 
 def c5():
@@ -341,3 +342,29 @@ class TestEnumeration:
     def test_canonical_rep_is_lex_least(self):
         for g in enumerate_graphs(4, canonical=True):
             assert adjacency_bits(g) == canonical_form(g)
+
+    @staticmethod
+    def relabeled_minimum(g):
+        """Oracle: rebuild the graph under every vertex permutation."""
+        return min(
+            adjacency_bits(SimpleGraph.from_edges(g.n, [(p[v], p[w]) for v, w in g.edges()]))
+            for p in itertools.permutations(range(g.n))
+        )
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_canonical_form_matches_relabeling_oracle(self, n):
+        graphs = list(enumerate_graphs(n))
+        for g in graphs:
+            assert canonical_form(g) == self.relabeled_minimum(g)
+        reps = [adjacency_bits(g) for g in enumerate_graphs(n, canonical=True)]
+        assert reps == sorted({self.relabeled_minimum(g) for g in graphs})
+
+    def test_canonical_form_matches_relabeling_oracle_n5_stride(self):
+        for g in itertools.islice(enumerate_graphs(5), 0, None, 7):
+            assert canonical_form(g) == self.relabeled_minimum(g)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_pair_numbering_index_is_position(self, n):
+        pairs, offs = pair_numbering(n)
+        assert list(pairs) == [(v, w) for v in range(n) for w in range(v + 1, n)]
+        assert [offs[v] + w for v, w in pairs] == list(range(len(pairs)))
