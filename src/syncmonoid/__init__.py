@@ -17,7 +17,7 @@ from .dixon import (
     transitive_pair_counts,
     transitive_pair_probability,
 )
-from .errors import CapExceeded
+from .errors import CapExceeded, VerificationError
 from .experiments import (
     EdgeGraphReport,
     ExactResult,

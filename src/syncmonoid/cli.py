@@ -3,7 +3,7 @@
 Machine-readable output (JSON or the map/graph text formats) goes to
 stdout, or to a file with --out; human summaries go to stderr.  Exit
 codes: 0 success, 1 domain error (bad file contents, caps), 2 usage
-error.
+error, 3 internal error (a certificate failed its check).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import sys
 
 from . import __version__
 from .dixon import summary_rows
-from .errors import CapExceeded
+from .errors import CapExceeded, VerificationError
 from .experiments import (
     ExperimentConfig,
     estimate_record,
@@ -352,6 +352,9 @@ def main(argv=None) -> int:
     except (ValueError, CapExceeded, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except VerificationError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     finally:
         if sink is not None:
             sink.close()

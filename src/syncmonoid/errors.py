@@ -9,3 +9,7 @@ class CapExceeded(RuntimeError):
     def __init__(self, message: str, partial: int):
         super().__init__(f"{message} (partial count: {partial})")
         self.partial = partial
+
+
+class VerificationError(RuntimeError):
+    """A certificate failed its independent check: a fault of the program."""

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import CapExceeded
+from .errors import CapExceeded, VerificationError
 from .graphs import (
     SimpleGraph,
     check_maximality_conditions,
@@ -45,6 +45,7 @@ from .transform import (
 )
 
 AUDIT_EVERY = 100  # replay a min-rank certificate on 1% of synchronizing trials
+MAXIMALITY_MAX_N = 5  # largest n that explore runs the maximality test on
 
 
 @dataclass(frozen=True)
@@ -159,7 +160,7 @@ def _audit(gens: list) -> None:
     gen_set = GeneratorSet(gens)
     word, witness = min_rank_witness(gen_set)
     if rank(witness) != 1 or gen_set.evaluate(word) != witness:
-        raise RuntimeError("synchronization certificate replay failed")
+        raise VerificationError("synchronization certificate replay failed")
 
 
 def _run_chunk(args) -> int:
@@ -252,9 +253,13 @@ class EdgeGraphReport:
     within_bound: bool
 
 
-def _fixes_pair(imgs, v: int, w: int) -> bool:
-    a, b = imgs[v], imgs[w]
-    return (a == v and b == w) or (a == w and b == v)
+def _setwise_fixed_pairs(imgs) -> set:
+    """Pairs (v, w), v < w, that the map sends onto themselves: two fixed
+    points (about one per uniform random map, so O(n) expected) or a 2-cycle."""
+    fixed = [v for v, a in enumerate(imgs) if a == v]
+    pairs = {(v, a) for v, a in enumerate(imgs) if v < a and imgs[a] == v}
+    pairs.update(itertools.combinations(fixed, 2))
+    return pairs
 
 
 def edge_graph_experiment(n: int, trials: int, seed: int) -> EdgeGraphReport:
@@ -279,15 +284,7 @@ def edge_graph_experiment(n: int, trials: int, seed: int) -> EdgeGraphReport:
         stream = substream(seed, trial)
         f = random_endofunction(n, stream).images
         g = random_endofunction(n, stream).images
-        hit = False
-        for v in range(n):
-            for w in range(v + 1, n):
-                if _fixes_pair(f, v, w) and _fixes_pair(g, v, w):
-                    hit = True
-                    break
-            if hit:
-                break
-        if hit:
+        if not _setwise_fixed_pairs(f).isdisjoint(_setwise_fixed_pairs(g)):
             successes += 1
     est = make_estimate(successes, trials)
     sigma = math.sqrt(est.estimate * (1.0 - est.estimate) / trials)
@@ -305,16 +302,15 @@ def explore_maximal_nonsync(
     n: int,
     canonical: bool = False,
     end_cap: int = 10**6,
-    maximality_max_n: int = 5,
 ):
     """Stream one record per graph on n vertices.
 
     Each record carries the maximality conditions; graphs satisfying them
-    get an endomorphism count and (for n small enough) the literal
-    brute-force maximality verdict.  Every record also reports whether the
-    derived graph differs from the graph and, if so, whether the pair would
-    satisfy all four conditions for a two-graph maximal-monoid presentation
-    with distinct graphs (no such pair is expected).
+    get an endomorphism count and, for n <= MAXIMALITY_MAX_N, the graph-based
+    ``is_maximal_nonsynchronizing`` verdict.  Every record also reports
+    whether the derived graph differs from the graph and, if so, whether the
+    pair would satisfy all four conditions for a two-graph maximal-monoid
+    presentation with distinct graphs (no such pair is expected).
     Caps produce per-graph skip notes, never an abort.
     """
     for x in enumerate_graphs(n, canonical):
@@ -341,7 +337,7 @@ def explore_maximal_nonsync(
                 record["end_count"] = str(endomorphism_count(x, cap=end_cap))
             except CapExceeded as exc:
                 record["skips"].append(f"end_count: {exc}")
-            if n <= maximality_max_n:
+            if n <= MAXIMALITY_MAX_N:
                 try:
                     record["maximal"] = is_maximal_nonsynchronizing(x, cap=end_cap)
                 except CapExceeded as exc:

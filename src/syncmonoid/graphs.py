@@ -3,7 +3,7 @@
 Vertices are 0..n-1; adjacency is one bitmask per vertex.  Everything here
 is exact and deterministic: branch-and-bound cliques, DSATUR backtracking
 coloring, a CSP for graph endomorphisms, hulls, derived graphs, and a
-brute-force maximality test for the endomorphism monoid.
+maximality test for End(x) that searches graphs with a larger End.
 """
 
 from __future__ import annotations
@@ -440,14 +440,19 @@ def check_maximality_conditions(x: SimpleGraph) -> MaximalityConditions:
 
 
 def is_maximal_nonsynchronizing(x: SimpleGraph, cap: int = 10**6) -> bool:
-    """Literal test: End(x) is non-synchronizing, and adjoining any outside
-    endofunction yields a synchronizing monoid.
+    """True iff End(x) is a maximal non-synchronizing monoid: it does not
+    synchronize, and adjoining any map outside it gives a monoid that does.
 
-    Feasible for small n only (all n**n candidate maps are tried).  The pair
-    reachability of End(x) is precomputed once, so each candidate costs only
-    a small graph search.
+    Decided on graphs (Araújo, Cameron & Steinberg, arXiv:1511.03184).  Let
+    x be nonnull and f a map outside End(x).  If <End(x), f> does not
+    synchronize, its separation graph y is nonnull and End(x) is strictly
+    inside End(y).  Conversely, if End(x) is strictly inside End(y) for a
+    nonnull y, any f in End(y) but not End(x) keeps <End(x), f> inside
+    End(y), which merges no edge of y.  And End(x) lies inside End(y)
+    exactly when the edges of y are a union of End(x)-orbits of pairs that
+    no endomorphism of x merges.  ``cap`` bounds |End(x)| and the number of
+    such unions.
     """
-    n = x.n
     if x.is_null():
         return False  # End(x) is everything, and contains the constants
     endos = set()
@@ -456,43 +461,27 @@ def is_maximal_nonsynchronizing(x: SimpleGraph, cap: int = 10**6) -> bool:
         if len(endos) > cap:
             raise CapExceeded("endomorphism enumeration exceeded cap", len(endos))
 
-    pairs, offs = pair_numbering(n)
-    merged = len(pairs)  # virtual absorbing node
+    pairs, offs = pair_numbering(x.n)
+    orbits = set()  # bit p stands for pairs[p]
+    for v, w in pairs:
+        orbit = 0
+        for imgs in endos:
+            a, b = imgs[v], imgs[w]
+            if a == b:
+                break
+            orbit |= 1 << (offs[a] + b if a < b else offs[b] + a)
+        else:
+            orbits.add(orbit)
+    unions = {0}
+    for orbit in sorted(orbits):
+        unions |= {u | orbit for u in unions}
+        if len(unions) - 1 > cap:
+            raise CapExceeded("orbit unions exceeded cap", len(unions) - 1)
+    unions.discard(0)
 
-    def step(imgs, p):
-        v, w = pairs[p]
-        a, b = imgs[v], imgs[w]
-        if a == b:
-            return merged
-        return offs[a] + b if a < b else offs[b] + a
-
-    # reverse one-step reachability under any element of End(x)
-    rev_m = [set() for _ in range(merged + 1)]
-    for imgs in endos:
-        for p in range(merged):
-            rev_m[step(imgs, p)].add(p)
-
-    def collapses_all(extra_imgs) -> bool:
-        rev_f = [[] for _ in range(merged + 1)]
-        for p in range(merged):
-            rev_f[step(extra_imgs, p)].append(p)
-        reached = [False] * (merged + 1)
-        reached[merged] = True
-        stack = [merged]
-        count = 0
-        while stack:
-            q = stack.pop()
-            for p in itertools.chain(rev_m[q], rev_f[q]):
-                if not reached[p]:
-                    reached[p] = True
-                    count += 1
-                    stack.append(p)
-        return count == merged
-
-    for candidate in itertools.product(range(n), repeat=n):
-        if candidate in endos:
-            continue
-        if not collapses_all(candidate):
+    for union in sorted(unions):
+        y = SimpleGraph.from_edges(x.n, [pairs[p] for p in _bits(union)])
+        if any(imgs not in endos for imgs in _endomorphism_csp(y)):
             return False
     return True
 

@@ -219,6 +219,19 @@ class TestErrorHandling:
         assert json.loads(out) == {"count": "32"}
         assert "32 endomorphisms" in err
 
+    def test_failed_certificate_exits_3(self, capsys, monkeypatch):
+        # a corrupted witness; trials 0 and 100 are audited if they synchronize
+        from syncmonoid import Endofunction, experiments
+
+        monkeypatch.setattr(
+            experiments, "min_rank_witness", lambda gens: ((), Endofunction(range(gens.n)))
+        )
+        argv = ["estimate", "--n", "4", "--k", "2", "--trials", "101", "--seed", "77"]
+        code, _, err = run(capsys, argv)
+        assert code == 3
+        assert err.startswith("internal error: ")
+        assert "Traceback" not in err
+
     def test_non_positive_n_rejected(self):
         with pytest.raises(SystemExit) as exc:
             main(["estimate", "--n", "0", "--k", "1", "--trials", "5", "--seed", "1"])
@@ -229,9 +242,9 @@ GOLDEN_DIR = Path(__file__).resolve().parent.parent / "bench" / "golden"
 
 
 class TestGoldenOutputs:
-    """The benchmark's Monte Carlo workloads at their default seeds, with the
-    same arguments as bench/workloads.py, must reproduce the committed golden
-    output byte for byte."""
+    """The benchmark's Monte Carlo workloads at their default seeds, and its
+    explore workload, with the same arguments as bench/workloads.py, must
+    reproduce the committed golden output byte for byte."""
 
     def test_estimate_k1_seed7(self, capsys):
         argv = ["estimate", "--n", "30", "--k", "1", "--trials", "10000",
@@ -249,3 +262,8 @@ class TestGoldenOutputs:
             assert code == 0
             out += text
         assert out == (GOLDEN_DIR / "mc_pairs.seed99.out").read_text()
+
+    def test_explore_n5(self, capsys):
+        code, out, _ = run(capsys, ["explore", "--n", "5"])
+        assert code == 0
+        assert out == (GOLDEN_DIR / "explore5.out").read_text()

@@ -8,11 +8,15 @@ import pytest
 from syncmonoid import (
     Endofunction,
     ExperimentConfig,
+    SimpleGraph,
     edge_graph_experiment,
     estimate_sync_probability,
     exact_sync_probability,
     explore_maximal_nonsync,
+    is_endomorphism,
     is_synchronizing,
+    random_endofunction,
+    substream,
     sweep,
     wilson_interval,
 )
@@ -191,6 +195,21 @@ class TestEdgeGraphExperiment:
     def test_requires_two_points(self):
         with pytest.raises(ValueError):
             edge_graph_experiment(1, 10, seed=0)
+
+    @pytest.mark.parametrize("n, seed", [(2, 1), (3, 5), (4, 9), (6, 3)])
+    def test_successes_match_endomorphism_oracle(self, n, seed):
+        # redraw every trial's maps and ask each one-edge graph directly
+        trials = 400
+        successes = 0
+        for trial in range(trials):
+            stream = substream(seed, trial)
+            f, g = random_endofunction(n, stream), random_endofunction(n, stream)
+            successes += any(
+                is_endomorphism(edge, f) and is_endomorphism(edge, g)
+                for edge in (SimpleGraph.single_edge(n, v, w)
+                             for v in range(n) for w in range(v + 1, n))
+            )
+        assert edge_graph_experiment(n, trials, seed).estimate.successes == successes
 
 
 class TestExplorer:

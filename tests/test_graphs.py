@@ -283,24 +283,44 @@ class TestMaximality:
         assert is_maximal_nonsynchronizing(c4)
 
     def test_maximality_against_literal_definition(self):
-        # independent oracle on n=3: closure-based synchronization test
+        # independent oracle on every labeled graph with n = 3, 4: adjoin each
+        # outside map and run the closure-based synchronization test
         from syncmonoid import is_synchronizing
 
-        for g in enumerate_graphs(3):
-            endos = enumerate_endomorphisms(g)
-            endo_set = set(endos)
-            if g.is_null():
-                expected = False
-            else:
-                expected = True
-                for t in itertools.product(range(3), repeat=3):
-                    f = Endofunction(t)
-                    if f in endo_set:
-                        continue
-                    if not is_synchronizing(GeneratorSet(endos + [f])):
-                        expected = False
-                        break
-            assert is_maximal_nonsynchronizing(g) == expected
+        not_maximal = {}
+        for n in (3, 4):
+            not_maximal[n] = 0
+            for g in enumerate_graphs(n):
+                endos = enumerate_endomorphisms(g)
+                endo_set = set(endos)
+                if g.is_null():
+                    expected = False
+                else:
+                    expected = True
+                    for t in itertools.product(range(n), repeat=n):
+                        f = Endofunction(t)
+                        if f in endo_set:
+                            continue
+                        if not is_synchronizing(GeneratorSet(endos + [f])):
+                            expected = False
+                            break
+                assert is_maximal_nonsynchronizing(g) == expected
+                not_maximal[n] += not expected
+        assert not_maximal[4] == 25
+
+    def test_five_cycle_not_maximal_complete_graph_maximal(self):
+        # End(C5) is the dihedral group D5, strictly inside S5 = End(K5)
+        assert not is_maximal_nonsynchronizing(c5())
+        assert is_maximal_nonsynchronizing(SimpleGraph.complete(5))
+
+    def test_orbit_unions_respect_cap(self):
+        # 12 endomorphisms, 35 nonempty unions of End(x)-orbits
+        x = SimpleGraph.from_edges(7, [(0, 2), (0, 4), (1, 3), (1, 4), (1, 6), (2, 4),
+                                       (2, 5), (2, 6), (3, 5), (3, 6), (4, 6), (5, 6)])
+        assert endomorphism_count(x) == 12
+        with pytest.raises(CapExceeded):
+            is_maximal_nonsynchronizing(x, cap=20)
+        assert not is_maximal_nonsynchronizing(x, cap=10**6)
 
 
 class TestGraphMonoidBridge:
