@@ -6,6 +6,13 @@ Reproducibility contract: every trial draws from its own substream keyed by
 are byte-identical however trials are scheduled.  Within a trial the draw
 order is fixed: the permutation generators first, then the endofunction
 generators.
+
+Trials run in blocks: one ``rng.Lanes`` lane per trial draws the generators
+of the whole block at once (``transform.random_tables``).  A lane that hit
+a rejected draw is redone from its untouched stream by ``_trial_outcome``,
+the scalar path, which is also the oracle for the lanes.  A single map is
+decided for the whole block by repeated squaring; other mixes go through
+the pair fixpoint one trial at a time.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ from .graphs import (
     is_maximal_nonsynchronizing,
     pair_numbering,
 )
-from .rng import derive_seed, substream
+from .rng import Lanes, derive_seed, substream
 from .stats import EstimateWithCI, make_estimate
 from .sync import GeneratorSet, is_synchronizing, min_rank_witness
 from .transform import (
@@ -41,10 +48,12 @@ from .transform import (
     has_unique_periodic_point,
     random_endofunction,
     random_permutation,
+    random_tables,
     rank,
 )
 
 AUDIT_EVERY = 100  # replay a min-rank certificate on 1% of synchronizing trials
+LANE_BUDGET = 2**15  # image-table entries, lanes * (r + s) * n, in one block of trials
 MAXIMALITY_MAX_N = 5  # largest n that explore runs the maximality test on
 
 
@@ -143,10 +152,34 @@ def _all_pairs_collapsible(n: int, image_tables) -> bool:
         collapsed[:count] = new
 
 
-def _trial_outcome(config: ExperimentConfig, trial: int) -> tuple[bool, list]:
-    """Run one trial; returns (synchronizing, drawn generators)."""
+def _single_map_synchronizes(maps):
+    """Rows of ``maps`` (lanes, n) whose map has one periodic point, i.e.
+    some power of it is constant: squaring ceil(log2 n) times gives a power
+    of at least n - 1, past every tail, which is constant exactly then."""
+    lanes, n = maps.shape
+    # one map on lanes * n points, so that a square is a single np.take
+    flat = maps + np.arange(0, lanes * n, n)[:, None]
+    for _ in range(max(1, (n - 1).bit_length())):
+        flat = np.take(flat, flat)
+    return (flat == flat[:, :1]).all(axis=1)
+
+
+def _lane_blocks(n: int, r: int, s: int, seed: int, lo: int, hi: int):
+    """Trials lo..hi in blocks of at most ``max(1, LANE_BUDGET // (n * (r + s)))``
+    lanes; yields (first trial, streams, image tables, rejected mask).  The
+    streams are untouched, ready to redo the rejected lanes."""
+    size = max(1, LANE_BUDGET // (n * (r + s)))
+    for start in range(lo, hi, size):
+        streams = [substream(seed, t) for t in range(start, min(start + size, hi))]
+        lanes = Lanes(streams)
+        yield start, streams, random_tables(n, r, s, lanes), lanes.rejected
+
+
+def _trial_outcome(config: ExperimentConfig, stream) -> tuple[bool, list]:
+    """Run one trial on its fresh stream, one scalar draw at a time; returns
+    (synchronizing, drawn generators).  Redoes rejected lanes, and is the
+    oracle for the lane path."""
     n = config.n
-    stream = substream(config.seed, trial)
     gens = [random_permutation(n, stream) for _ in range(config.num_permutations)]
     gens += [random_endofunction(n, stream) for _ in range(config.num_endofunctions)]
     if config.num_permutations == 0 and config.num_endofunctions == 1:
@@ -165,14 +198,23 @@ def _audit(gens: list) -> None:
 
 def _run_chunk(args) -> int:
     config = ExperimentConfig(*args[:5])
-    lo, hi = args[5], args[6]
+    n, r, s = config.n, config.num_permutations, config.num_endofunctions
     successes = 0
-    for trial in range(lo, hi):
-        ok, gens = _trial_outcome(config, trial)
-        if ok:
-            successes += 1
-            if trial % AUDIT_EVERY == 0:
-                _audit(gens)
+    for start, streams, tables, rejected in _lane_blocks(n, r, s, config.seed, *args[5:7]):
+        if (r, s) == (0, 1):
+            sync = _single_map_synchronizes(tables[:, 0]) & ~rejected
+        else:
+            sync = np.array([
+                not bad and _all_pairs_collapsible(n, rows)
+                for rows, bad in zip(tables, rejected)
+            ])
+        redone = {}
+        for i in np.flatnonzero(rejected).tolist():
+            sync[i], redone[i] = _trial_outcome(config, streams[i])
+        successes += int(np.count_nonzero(sync))
+        for i in range(-start % AUDIT_EVERY, len(streams), AUDIT_EVERY):
+            if sync[i]:
+                _audit(redone.get(i) or [Endofunction(row) for row in tables[i].tolist()])
     return successes
 
 
@@ -280,12 +322,12 @@ def edge_graph_experiment(n: int, trials: int, seed: int) -> EdgeGraphReport:
     per_graph = Fraction(2 * n ** (n - 2), n**n) ** 2
     bound = graph_count * per_graph
     successes = 0
-    for trial in range(trials):
-        stream = substream(seed, trial)
-        f = random_endofunction(n, stream).images
-        g = random_endofunction(n, stream).images
-        if not _setwise_fixed_pairs(f).isdisjoint(_setwise_fixed_pairs(g)):
-            successes += 1
+    for _, streams, tables, rejected in _lane_blocks(n, 0, 2, seed, 0, trials):
+        for stream, (f, g), bad in zip(streams, tables.tolist(), rejected):
+            if bad:
+                f, g = (random_endofunction(n, stream).images for _ in range(2))
+            if not _setwise_fixed_pairs(f).isdisjoint(_setwise_fixed_pairs(g)):
+                successes += 1
     est = make_estimate(successes, trials)
     sigma = math.sqrt(est.estimate * (1.0 - est.estimate) / trials)
     within = est.estimate <= float(bound) + 3.0 * sigma

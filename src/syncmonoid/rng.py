@@ -4,9 +4,17 @@ A ``Stream`` is a xoshiro256** generator seeded through SplitMix64.
 Substreams are derived from a (master seed, index) pair, so a run that
 hands trial i to any worker always draws the same values for trial i.
 All arithmetic is fixed 64-bit, independent of platform and interpreter.
+
+``Lanes`` runs many streams at once, one numpy ``uint64`` lane per stream.
+It draws exactly what each ``Stream`` would, except that it cannot redraw
+a rejected value: it flags the lane instead, and the caller redoes that
+lane with its scalar ``Stream``, which ``Lanes`` never advances.  The
+scalar ``Stream`` is the oracle for the lanes.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -51,9 +59,7 @@ class Stream:
 
     def randbelow(self, bound: int) -> int:
         """Uniform integer in [0, bound), by rejection (no modulo bias)."""
-        if bound <= 0:
-            raise ValueError("bound must be positive")
-        threshold = (1 << 64) - ((1 << 64) % bound)
+        threshold = _threshold(bound)
         while True:
             u = self.next_u64()
             if u < threshold:
@@ -61,9 +67,7 @@ class Stream:
 
     def integers(self, bound: int, count: int) -> list[int]:
         """``count`` uniform draws in [0, bound)."""
-        if bound <= 0:
-            raise ValueError("bound must be positive")
-        threshold = (1 << 64) - ((1 << 64) % bound)
+        threshold = _threshold(bound)
         out = []
         nxt = self.next_u64
         while len(out) < count:
@@ -71,6 +75,60 @@ class Stream:
             if u < threshold:
                 out.append(u % bound)
         return out
+
+
+def _threshold(bound: int) -> int:
+    """Smallest 64-bit draw that ``randbelow(bound)`` rejects (2**64 when
+    none is).  Bounds above 2**64 would reject every draw."""
+    if not 0 < bound <= 1 << 64:
+        raise ValueError(f"bound must be in [1, 2**64]: {bound}")
+    return (1 << 64) - ((1 << 64) % bound)
+
+
+def _rotl_lanes(x, k: int):
+    return (x << np.uint64(k)) | (x >> np.uint64(64 - k))
+
+
+class Lanes:
+    """xoshiro256** on many streams at once, one ``uint64`` lane each.
+
+    The lanes start from copies of the streams' states; the streams
+    themselves are never advanced.  ``rejected`` marks every lane that drew
+    a value its scalar stream would have rejected; from that draw on the
+    lane no longer follows its stream, and its values must be redrawn from
+    the stream.
+    """
+
+    __slots__ = ("_state", "rejected")
+
+    def __init__(self, streams):
+        self._state = [
+            np.array([getattr(st, slot) for st in streams], dtype=np.uint64)
+            for slot in Stream.__slots__
+        ]
+        self.rejected = np.zeros(len(streams), dtype=bool)
+
+    def next_u64(self):
+        """One xoshiro256** step on every lane; a new ``uint64`` array."""
+        s0, s1, s2, s3 = self._state
+        result = _rotl_lanes(s1 * np.uint64(5), 7) * np.uint64(9)
+        t = s1 << np.uint64(17)
+        s2 ^= s0
+        s3 ^= s1
+        s1 ^= s2
+        s0 ^= s3
+        s2 ^= t
+        self._state[3] = _rotl_lanes(s3, 45)
+        return result
+
+    def randbelow(self, bound: int):
+        """``u % bound`` on every lane, flagging in ``rejected`` the lanes
+        whose scalar stream would reject ``u`` and draw again."""
+        threshold = _threshold(bound)
+        u = self.next_u64()
+        if threshold < 1 << 64:  # else bound divides 2**64: nothing is rejected
+            self.rejected |= u >= np.uint64(threshold)
+        return u % np.uint64(bound) if bound < 1 << 64 else u
 
 
 def derive_seed(master_seed: int, index: int) -> int:

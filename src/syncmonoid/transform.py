@@ -7,13 +7,19 @@ most Python libraries, so it is worth stating once and loudly.
 
 Points are 0-based internally; the 1-based convention of the file formats
 is handled at the I/O boundary (see formats.py).
+
+``random_tables`` draws the generators of many trials at once on
+``rng.Lanes``; each unflagged lane holds exactly what ``random_permutation``
+and ``random_endofunction`` draw from that lane's stream.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .rng import Stream
+import numpy as np
+
+from .rng import Lanes, Stream
 
 
 class Endofunction:
@@ -177,3 +183,27 @@ def random_permutation(n: int, stream: Stream) -> Endofunction:
         j = stream.randbelow(i + 1)
         imgs[i], imgs[j] = imgs[j], imgs[i]
     return Endofunction(imgs)
+
+
+def random_tables(n: int, num_permutations: int, num_endofunctions: int, lanes: Lanes):
+    """Image tables of shape (lanes, r + s, n), ``intp``: per lane, r
+    uniform permutations then s uniform endofunctions, in the order and with
+    the values of ``random_permutation`` and ``random_endofunction`` on the
+    lane's stream.  Rows of lanes flagged in ``lanes.rejected`` are void."""
+    if n < 1:
+        raise ValueError("degree must be at least 1")
+    count = lanes.rejected.shape[0]
+    out = np.empty((count, num_permutations + num_endofunctions, n), dtype=np.intp)
+    rows = np.arange(count)
+    for g in range(num_permutations):
+        imgs = out[:, g]
+        imgs[:] = np.arange(n)
+        for i in range(n - 1, 0, -1):  # Fisher-Yates, one column for all lanes
+            j = lanes.randbelow(i + 1).astype(np.intp)
+            picked = imgs[rows, j]
+            imgs[rows, j] = imgs[:, i]
+            imgs[:, i] = picked
+    for g in range(num_permutations, num_permutations + num_endofunctions):
+        for v in range(n):
+            out[:, g, v] = lanes.randbelow(n)
+    return out

@@ -3,6 +3,7 @@ import json
 import os
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from syncmonoid import (
@@ -21,7 +22,9 @@ from syncmonoid import (
     wilson_interval,
 )
 from syncmonoid import experiments
-from syncmonoid.experiments import _all_pairs_collapsible
+from syncmonoid.experiments import _all_pairs_collapsible, _trial_outcome
+from syncmonoid.rng import Lanes
+from syncmonoid.transform import random_tables
 
 from conftest import build_instances
 
@@ -149,6 +152,86 @@ class TestEstimate:
 
     def test_fast_path_degree_one(self):
         assert _all_pairs_collapsible(1, [(0,)])
+
+
+def _flaky_randbelow(monkeypatch):
+    """Make Lanes.randbelow flag every third lane and spoil its value, as a
+    rejected draw would."""
+    original = Lanes.randbelow
+
+    def flaky(self, bound):
+        values = original(self, bound)
+        spoiled = np.arange(values.shape[0]) % 3 == 1
+        self.rejected |= spoiled
+        values[spoiled] = bound - 1
+        return values
+
+    monkeypatch.setattr(Lanes, "randbelow", flaky)
+
+
+class TestLanePath:
+    """The block path (lane draws, squaring, fallback) against the scalar
+    ``_trial_outcome``."""
+
+    @pytest.mark.parametrize("r, s", [(0, 1), (1, 1), (0, 2), (2, 1)])
+    def test_fallback_rows_equal_scalar_draws(self, monkeypatch, r, s):
+        config = ExperimentConfig(6, r, s, 250, seed=19)
+        expected = []
+        for trial in range(config.trials):
+            ok, gens = _trial_outcome(config, substream(config.seed, trial))
+            if ok:
+                expected.append([g.images for g in gens])
+        audited = []
+        monkeypatch.setattr(experiments, "AUDIT_EVERY", 1)
+        monkeypatch.setattr(experiments, "LANE_BUDGET", 6 * (r + s) * 64)  # blocks of 64
+        monkeypatch.setattr(
+            experiments, "_audit", lambda gens: audited.append([g.images for g in gens])
+        )
+        _flaky_randbelow(monkeypatch)
+        est = estimate_sync_probability(config)
+        # every synchronizing trial is audited, with the scalar stream's maps
+        assert est.successes == len(expected)
+        assert audited == expected
+
+    def test_edge_graph_fallback_matches_lanes(self, monkeypatch):
+        plain = edge_graph_experiment(4, 500, seed=9).estimate
+        _flaky_randbelow(monkeypatch)
+        assert edge_graph_experiment(4, 500, seed=9).estimate == plain
+
+    @pytest.mark.parametrize("n", range(1, 41))
+    def test_single_map_decision_matches_scalar(self, n):
+        config = ExperimentConfig(n, 0, 1, 1, seed=n)
+        streams = [substream(n, t) for t in range(64)]
+        maps = random_tables(n, 0, 1, Lanes(streams))[:, 0]
+        decided = experiments._single_map_synchronizes(maps)
+        assert decided.tolist() == [_trial_outcome(config, st)[0] for st in streams]
+        # a path into a fixed point has the longest tail, n - 1 steps; a
+        # 2-cycle at its end never collapses
+        path = [max(v - 1, 0) for v in range(n)]
+        looped = [1, 0] + path[2:] if n > 1 else [0]
+        identity = list(range(n))
+        maps = np.array([path, looped, identity], dtype=np.intp)
+        assert experiments._single_map_synchronizes(maps).tolist() == [
+            True, n == 1, n == 1
+        ]
+
+    @pytest.mark.parametrize("r, s, n, trials", [(0, 1, 30, 2500), (1, 1, 40, 1000)])
+    def test_threads_agree_off_block_boundaries(self, r, s, n, trials):
+        # blocks of 1092 and 409 lanes; two chunks split the trials elsewhere
+        config = ExperimentConfig(n, r, s, trials, seed=23)
+        assert trials % max(1, experiments.LANE_BUDGET // (n * (r + s)))
+        assert estimate_sync_probability(config, threads=1) == estimate_sync_probability(
+            config, threads=2
+        )
+
+    @pytest.mark.parametrize("r, s, n", [(0, 1, 9), (2, 1, 9), (0, 3, 6)])
+    def test_block_path_matches_scalar_oracle(self, monkeypatch, r, s, n):
+        monkeypatch.setattr(experiments, "LANE_BUDGET", n * (r + s) * 100)  # blocks of 100
+        config = ExperimentConfig(n, r, s, 1234, seed=5)
+        successes = sum(
+            _trial_outcome(config, substream(config.seed, t))[0] for t in range(config.trials)
+        )
+        assert estimate_sync_probability(config).successes == successes
 
 
 class TestEdgeGraphExperiment:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 
 import pytest
 
@@ -190,6 +191,17 @@ class TestEndomorphisms:
         with pytest.raises(CapExceeded) as exc:
             endomorphism_count(SimpleGraph.null(4), cap=100)
         assert exc.value.partial == 101
+
+    def test_cap_exceeded_survives_pickling(self):
+        # a worker process hands its exception to the parent by pickling
+        with pytest.raises(CapExceeded) as exc:
+            endomorphism_count(SimpleGraph.null(4), cap=100)
+        copy = pickle.loads(pickle.dumps(exc.value))
+        assert type(copy) is CapExceeded
+        assert copy.partial == 101
+        assert str(copy) == str(exc.value) == (
+            "endomorphism count exceeded cap (partial count: 101)"
+        )
 
     def test_requires_distinct_merge_pair(self):
         with pytest.raises(ValueError):

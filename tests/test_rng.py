@@ -1,8 +1,10 @@
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from syncmonoid import Stream, derive_seed, substream
+from syncmonoid.rng import Lanes
 
 
 def test_stream_is_reproducible():
@@ -49,3 +51,63 @@ def test_substreams_are_independent_of_order():
 def test_substreams_do_not_collide():
     seeds = {derive_seed(77, i) for i in range(10_000)}
     assert len(seeds) == 10_000
+
+
+@pytest.mark.parametrize("draw", [
+    lambda bound: Stream(1).randbelow(bound),
+    lambda bound: Stream(1).integers(bound, 3),
+    lambda bound: Lanes([Stream(1), Stream(2)]).randbelow(bound),
+], ids=["randbelow", "integers", "lanes"])
+def test_bounds_above_two_to_the_64_are_refused(draw):
+    # every 64-bit draw would be rejected: the loop would never end
+    with pytest.raises(ValueError):
+        draw(2**64 + 1)
+    with pytest.raises(ValueError):
+        draw(0)
+
+
+def test_largest_bound_is_the_raw_draw():
+    assert Stream(3).randbelow(2**64) == Stream(3).next_u64()
+    lanes = Lanes([Stream(3)])
+    assert lanes.randbelow(2**64).tolist() == [Stream(3).next_u64()]
+    assert not lanes.rejected.any()
+
+
+class CountingStream(Stream):
+    """A Stream that counts its 64-bit draws."""
+
+    __slots__ = ("draws",)
+
+    def next_u64(self):
+        self.draws += 1
+        return super().next_u64()
+
+
+@pytest.mark.parametrize("bound", [1, 2, 30, 2**32, 2**63 + 1])
+def test_lanes_match_scalar_streams(bound):
+    count = 400
+    streams = [substream(11, i) for i in range(count)]
+    oracles = []
+    for i in range(count):
+        oracle = CountingStream(derive_seed(11, i))
+        oracle.draws = 0
+        oracles.append(oracle)
+    lanes = Lanes(streams)
+    for calls in range(1, 4):
+        values = lanes.randbelow(bound)
+        assert values.dtype == np.uint64
+        for lane, oracle in enumerate(oracles):
+            expected = oracle.randbelow(bound)
+            # flagged exactly when the scalar stream had to draw again
+            assert lanes.rejected[lane] == (oracle.draws > calls)
+            if not lanes.rejected[lane]:
+                assert int(values[lane]) == expected
+    flagged = int(lanes.rejected.sum())
+    if bound == 2**63 + 1:  # rejects just under half of all draws
+        assert count // 2 < flagged < count
+    else:
+        assert flagged == 0
+    # the lanes ran on copies: every stream still starts at its first draw
+    assert [s.next_u64() for s in streams] == [
+        substream(11, i).next_u64() for i in range(count)
+    ]

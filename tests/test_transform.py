@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +21,8 @@ from syncmonoid import (
     rank,
     substream,
 )
+from syncmonoid.rng import Lanes
+from syncmonoid.transform import random_tables
 
 
 def endofunctions(max_n=6):
@@ -212,3 +215,17 @@ class TestRandom:
         assert len(counts) == 6
         for c in counts.values():
             assert abs(c - 1000) < 130  # ~4.5 sigma
+
+
+@pytest.mark.parametrize("n, r, s", [(1, 1, 1), (2, 2, 1), (5, 0, 3), (17, 2, 1), (30, 1, 0)])
+def test_random_tables_match_scalar_draws(n, r, s):
+    # each lane holds the permutations, then the maps, that its stream gives
+    streams = [substream(n, t) for t in range(60)]
+    lanes = Lanes(streams)
+    tables = random_tables(n, r, s, lanes)
+    assert tables.shape == (60, r + s, n) and tables.dtype == np.intp
+    assert not lanes.rejected.any()
+    for stream, rows in zip(streams, tables.tolist()):
+        gens = [random_permutation(n, stream) for _ in range(r)]
+        gens += [random_endofunction(n, stream) for _ in range(s)]
+        assert rows == [list(g.images) for g in gens]
