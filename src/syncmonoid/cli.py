@@ -121,7 +121,7 @@ def _cmd_minrank(args) -> int:
 def _cmd_word(args) -> int:
     gens = _load_generators(args.maps)
     if args.shortest:
-        word = shortest_synchronizing_word(gens)
+        word = shortest_synchronizing_word(gens, cap=args.cap)
     else:
         greedy, witness = min_rank_witness(gens)
         word = greedy if rank(witness) == 1 else None
@@ -276,6 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     maps_cmd("minrank", _cmd_minrank, "greedy minimum-rank witness word and map")
     word = maps_cmd("word", _cmd_word, "synchronizing word (greedy, or shortest via subset BFS)")
     word.add_argument("--shortest", action="store_true", help="exhaustive shortest word")
+    word.add_argument("--cap", type=positive, default=10**6,
+                      help="most subsets the --shortest search visits")
 
     graph_cmd("hull", _cmd_hull, "emit the hull of the graph")
     graph_cmd("derived", _cmd_derived, "emit the derived graph (edges in maximum cliques)")
@@ -298,7 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
     estimate.set_defaults(func=_cmd_estimate)
 
     exact = sub.add_parser(
-        "exact", help="exact synchronization probability by enumeration", parents=[common]
+        "exact", help="exact synchronization probability, counted up to conjugacy",
+        parents=[common]
     )
     exact.add_argument("--n", type=positive, required=True)
     exact.add_argument("--perms", type=nonneg, required=True)

@@ -13,6 +13,13 @@ a rejected draw is redone from its untouched stream by ``_trial_outcome``,
 the scalar path, which is also the oracle for the lanes.  A single map is
 decided for the whole block by repeated squaring; other mixes go through
 the pair fixpoint one trial at a time.
+
+Exact probabilities count up to conjugacy: the first generator runs over
+one representative per conjugacy class of S_n (a cycle type) or of T_n,
+weighted by the class size, and the tuples of the other generators run in
+numpy batches through the same pair fixpoint, one row per tuple.  The
+brute-force loop over every tuple, ``_exact_by_enumeration``, is its
+oracle.
 """
 
 from __future__ import annotations
@@ -116,40 +123,44 @@ def _pair_arrays(n: int):
     return arrays
 
 
-def _all_pairs_collapsible(n: int, image_tables) -> bool:
-    """Vectorized fixpoint on the pair automaton: sweep until the set of
-    collapsible pairs stops growing.  Equivalent to the backward closure in
-    sync.collapsible_pairs (property-tested against it); used in the Monte
-    Carlo hot loop where per-trial Python overhead dominates."""
-    if n == 1:
-        return True
+def _pair_targets(n: int, tables) -> np.ndarray:
+    """Where each table (..., n) sends each pair: the index of the image
+    pair, or the number of pairs when the table merges the pair."""
     pair_v, pair_w, offs = _pair_arrays(n)
-    count = pair_v.shape[0]
-    collapsed = np.zeros(count + 1, dtype=bool)
-    collapsed[count] = True  # virtual merged state
-    targets = []
-    for imgs in image_tables:
-        table = np.asarray(imgs, dtype=np.int64)
-        a = table[pair_v]
-        b = table[pair_w]
-        lo = np.minimum(a, b)
-        hi = np.maximum(a, b)
-        t = offs[lo] + hi
-        t[a == b] = count
-        targets.append(t)
+    tables = np.asarray(tables)
+    a = tables.take(pair_v, axis=-1)
+    b = tables.take(pair_w, axis=-1)
+    targets = offs.take(np.minimum(a, b)) + np.maximum(a, b)
+    targets[a == b] = pair_v.shape[0]
+    return targets
+
+
+def _synchronizing_rows(targets) -> np.ndarray:
+    """Which rows of a batch synchronize.  ``targets`` holds one (rows,
+    pairs) array per generator; its entries index the flattened (rows,
+    pairs + 1) state, whose last column in each row is the merged state.
+    Sweeps until the set of collapsible pairs stops growing."""
+    rows, pairs = targets[0].shape
+    state = np.zeros((rows, pairs + 1), dtype=bool)
+    state[:, pairs] = True
+    flat = state.reshape(-1)
+    collapsed = state[:, :pairs]
     known = 0
     while True:
-        cur = collapsed[:count]
-        new = cur.copy()
         for t in targets:
-            np.logical_or(new, collapsed[t], out=new)
-        total = int(new.sum())
-        if total == count:
-            return True
-        if total == known:
-            return False
+            np.logical_or(collapsed, flat.take(t), out=collapsed)
+        total = int(np.count_nonzero(collapsed))
+        if total == known or total == collapsed.size:
+            return collapsed.all(axis=1)
         known = total
-        collapsed[:count] = new
+
+
+def _all_pairs_collapsible(n: int, image_tables) -> bool:
+    """Vectorized fixpoint on the pair automaton for one generator list.
+    Equivalent to the backward closure in sync.collapsible_pairs
+    (property-tested against it); used in the Monte Carlo hot loop where
+    per-trial Python overhead dominates."""
+    return bool(_synchronizing_rows(_pair_targets(n, image_tables)[:, None])[0])
 
 
 def _single_map_synchronizes(maps):
@@ -245,27 +256,168 @@ def estimate_sync_probability(config: ExperimentConfig, threads: int = 1) -> Est
 
 
 # ---------------------------------------------------------------------------
-# exact probabilities by enumeration
+# exact probabilities, counted up to conjugacy
 
-ENUMERATION_GUARD = 10**8
+ENUMERATION_GUARD = 10**8  # first-generator classes times tuples of the others
+BATCH_BUDGET = 2**15  # pair targets, rows * (r + s) * (pairs + 1), in one batch
+
+
+def _partitions(n: int, largest: int | None = None):
+    """The partitions of n, parts in nonincreasing order."""
+    if n == 0:
+        yield ()
+        return
+    for part in range(min(n, largest or n), 0, -1):
+        for rest in _partitions(n - part, part):
+            yield (part,) + rest
+
+
+def _partition_count(n: int, limit: int) -> int:
+    """p(n) by Euler's pentagonal recurrence, or the first p(m) > limit
+    with m <= n if that comes first (p grows with m)."""
+    p = [1]
+    while len(p) <= n and p[-1] <= limit:
+        m, total = len(p), 0
+        for j in range(1, m + 1):
+            for g in (j * (3 * j - 1) // 2, j * (3 * j + 1) // 2):
+                if g <= m:
+                    total += (-1) ** (j + 1) * p[m - g]
+        p.append(total)
+    return p[-1]
+
+
+def _permutation_classes(n: int):
+    """One permutation per cycle type, the cycles on consecutive points,
+    with its class size n!/z_lambda; yielded one at a time."""
+    for cycle_type in _partitions(n):
+        images, z = [], 1
+        for length in cycle_type:
+            start = len(images)
+            images += range(start + 1, start + length)
+            images.append(start)
+        for length in set(cycle_type):
+            mult = cycle_type.count(length)
+            z *= length**mult * math.factorial(mult)
+        yield images, math.factorial(n) // z
+
+
+def _map_table(n: int) -> np.ndarray:
+    """All n^n maps as uint8 rows, in the lexicographic order of
+    ``itertools.product(range(n), repeat=n)``."""
+    grid = np.empty((n,) * n + (n,), dtype=np.uint8)
+    for v in range(n):
+        grid[..., v] = np.arange(n, dtype=np.uint8).reshape((n,) + (1,) * (n - 1 - v))
+    return grid.reshape(-1, n)
+
+
+def _map_classes(n: int):
+    """One map per conjugacy class of T_n (the lexicographically least),
+    with its class size.  (0 1) and (0 1 ... n-1)
+    generate S_n, so the classes are the orbits of the two index maps
+    "conjugate by" them; each orbit takes its least index, propagated along
+    both maps with pointer jumping until nothing changes."""
+    table = _map_table(n)
+    powers = n ** np.arange(n - 1, -1, -1)
+    swap = np.arange(n)
+    swap[:2] = swap[1::-1]
+    moves = []
+    for sigma in (swap, np.roll(np.arange(n), -1)):
+        conjugate = np.empty_like(table)
+        conjugate[:, sigma] = sigma[table]  # v -> f(v) becomes sigma(v) -> sigma(f(v))
+        moves.append(conjugate @ powers)
+    label = np.arange(table.shape[0])
+    while True:
+        new = label
+        for move in moves:
+            new = np.minimum(new, new[move])
+        new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    reps, sizes = np.unique(label, return_counts=True)
+    return list(zip(table[reps], sizes.tolist()))
+
+
+def _pool_targets(n: int, table) -> np.ndarray:
+    """``_pair_targets`` of every row of a pool, in the smallest unsigned
+    type, computed ``BATCH_BUDGET`` entries at a time."""
+    pairs = n * (n - 1) // 2
+    targets = np.empty((table.shape[0], pairs), dtype=np.min_scalar_type(pairs))
+    step = max(1, BATCH_BUDGET // (pairs + 1))
+    for lo in range(0, table.shape[0], step):
+        targets[lo : lo + step] = _pair_targets(n, table[lo : lo + step])
+    return targets
+
+
+def _count_synchronizing(n: int, classes, pools, rows: int) -> int:
+    """Sum over the (representative, weight) pairs of ``classes`` of weight
+    times the number of tuples (rep, g_2, ..., g_k) that generate a
+    synchronizing monoid, g_i running over the rows of the pair targets
+    ``pools[i - 2]``.  The tuples of the pools run in batches of ``rows``."""
+    pairs = n * (n - 1) // 2
+    rest = math.prod(pool.shape[0] for pool in pools)
+    count = 0
+    for rep, weight in classes:
+        first = _pair_targets(n, rep)
+        for lo in range(0, rest, rows):
+            index = np.arange(lo, min(lo + rows, rest))
+            base = np.arange(0, index.shape[0] * (pairs + 1), pairs + 1)[:, None]
+            targets = [first + base]
+            for pool in reversed(pools):
+                targets.append(pool[index % pool.shape[0]] + base)
+                index = index // pool.shape[0]
+            count += weight * int(np.count_nonzero(_synchronizing_rows(targets)))
+    return count
 
 
 def exact_sync_probability(n: int, r: int, s: int) -> ExactResult:
     """Exact probability that r uniform permutations and s uniform
     endofunctions (independent, with replacement) generate a synchronizing
     monoid.  The single-endofunction case has a closed form (one periodic
-    point <=> a rooted tree: n^(n-1) of n^n maps); everything else is
-    enumerated over all ordered generator tuples."""
+    point <=> a rooted tree: n^(n-1) of n^n maps).
+
+    Everything else counts up to conjugacy: conjugating every generator by
+    the same permutation keeps synchronization and permutes S_n and T_n.
+    So the first generator runs over one representative per conjugacy
+    class, weighted by the class size, and the other generators over all of
+    their pools, in numpy batches through the pair fixpoint."""
     if n < 1 or r < 0 or s < 0 or r + s < 1:
         raise ValueError("need n >= 1 and at least one generator")
     if r == 0 and s == 1:
         return ExactResult.from_fraction(Fraction(1, n), f"closed form {n}^{n - 1}/{n}^{n}")
-    total = math.factorial(n) ** r * (n**n) ** s
-    if total > ENUMERATION_GUARD:
+    perms, maps = math.factorial(n), n**n
+    rest = perms ** max(r - 1, 0) * maps ** (s - (r == 0))
+    if r:
+        classes = _partition_count(n, ENUMERATION_GUARD)
+    else:
+        classes = -(-maps // perms)  # a lower bound, known before T_n is built
+    if classes * rest > ENUMERATION_GUARD:
         raise ValueError(
-            f"{total} generator tuples is too many to enumerate; "
-            "use the (r,s)=(0,1) closed form or estimate_sync_probability"
+            f"more than {ENUMERATION_GUARD} first-generator classes times tuples of the "
+            "others is too many to enumerate; use the (r,s)=(0,1) closed form or "
+            "estimate_sync_probability"
         )
+    first = _permutation_classes(n) if r else _map_classes(n)
+    classes = classes if r else len(first)
+    pools = []
+    if r > 1:
+        permutations = np.array(list(itertools.permutations(range(n))), dtype=np.uint8)
+        pools += [_pool_targets(n, permutations)] * (r - 1)
+    if s > (r == 0):
+        pools += [_pool_targets(n, _map_table(n))] * (s - (r == 0))
+    rows = max(1, BATCH_BUDGET // ((r + s) * (n * (n - 1) // 2 + 1)))
+    count = _count_synchronizing(n, first, pools, rows)
+    return ExactResult.from_fraction(
+        Fraction(count, perms**r * maps**s),
+        f"{classes} conjugacy classes of the first generator, each against "
+        f"{rest} tuples of the other generators in batches of {min(rows, rest)} "
+        f"(r={r}, s={s})",
+    )
+
+
+def _exact_by_enumeration(n: int, r: int, s: int) -> Fraction:
+    """The brute-force oracle for ``exact_sync_probability``: every ordered
+    generator tuple through the witness closure."""
     perms = [Endofunction(p) for p in itertools.permutations(range(n))]
     maps = [Endofunction(t) for t in itertools.product(range(n), repeat=n)]
     pools = [perms] * r + [maps] * s
@@ -273,9 +425,7 @@ def exact_sync_probability(n: int, r: int, s: int) -> ExactResult:
     for combo in itertools.product(*pools):
         if is_synchronizing(GeneratorSet(combo)):
             count += 1
-    return ExactResult.from_fraction(
-        Fraction(count, total), f"enumerated {total} tuples (r={r}, s={s})"
-    )
+    return Fraction(count, len(perms) ** r * len(maps) ** s)
 
 
 # ---------------------------------------------------------------------------

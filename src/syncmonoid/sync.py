@@ -210,11 +210,12 @@ def min_rank_witness(gens: GeneratorSet) -> tuple[Word, Endofunction]:
     return tuple(word), Endofunction(current)
 
 
-def shortest_synchronizing_word(gens: GeneratorSet) -> Word | None:
+def shortest_synchronizing_word(gens: GeneratorSet, cap: int = 10**6) -> Word | None:
     """Minimum-length word of rank 1, or None if the monoid never
     synchronizes.  Breadth-first search over subsets of the point set,
     expanding generators in index order, which makes the answer the
-    lexicographically least among the shortest words.  Exponential in n.
+    lexicographically least among the shortest words.  Exponential in n:
+    raises CapExceeded once it has visited more than ``cap`` subsets.
     """
     n = gens.n
     start = (1 << n) - 1
@@ -245,6 +246,8 @@ def shortest_synchronizing_word(gens: GeneratorSet) -> Word | None:
                 parents[nxt] = (mask, gi)
                 if nxt & (nxt - 1) == 0:  # singleton
                     return path(nxt)
+                if len(parents) > cap:
+                    raise CapExceeded("shortest word search exceeded cap", len(parents))
                 queue.append(nxt)
     return None
 

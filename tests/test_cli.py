@@ -1,10 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
 
+import syncmonoid
 from syncmonoid.cli import main
 from syncmonoid.formats import parse_graph
+
+DATA = Path(__file__).resolve().parents[1] / "data"
 
 
 @pytest.fixture
@@ -59,6 +66,18 @@ class TestMapCommands:
         assert record["length"] == 9
         assert all(1 <= gi <= 2 for gi in record["word"])
 
+    def test_word_shortest_cap(self, capsys):
+        argv = ["word", "--maps", str(DATA / "cerny4.tm"), "--shortest"]
+        code, out, err = run(capsys, argv + ["--cap", "3"])
+        assert code == 1
+        assert out == ""
+        assert "exceeded cap (partial count: 4)" in err
+        assert "Traceback" not in err
+        # the default cap leaves the word as it was
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert json.loads(out) == {"length": 9, "word": [2, 1, 1, 1, 2, 1, 1, 1, 2]}
+
     def test_word_greedy_none_for_permutations(self, capsys, tmp_path):
         path = tmp_path / "perm.tm"
         path.write_text("2 3 1\n")
@@ -105,6 +124,30 @@ class TestExperimentsCommands:
         code, out, _ = run(capsys, ["exact", "--n", "3", "--perms", "0", "--maps-count", "1"])
         assert code == 0
         assert json.loads(out) == {"exact": "1/3"}
+
+    def test_exact_guard_refuses_before_building_tables(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["exact", "--n", "8", "--perms", "0", "--maps-count", "2"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert out == ""
+        assert "closed form" in err and "estimate" in err
+
+    def test_exact_one_permutation_twelve_points(self, capsys):
+        code, out, err = run(capsys, ["exact", "--n", "12", "--perms", "1", "--maps-count", "0"])
+        assert code == 0
+        assert json.loads(out) == {"exact": "0/1"}
+        assert "77 conjugacy classes" in err
+
+    def test_python_dash_m(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(syncmonoid.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "syncmonoid", "exact", "--n", "3", "--perms", "0",
+             "--maps-count", "1"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 0
+        assert json.loads(done.stdout) == {"exact": "1/3"}
 
     def test_estimate_deterministic_bytes(self, capsys):
         argv = ["estimate", "--n", "6", "--k", "2", "--trials", "300", "--seed", "9"]

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import os
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ import pytest
 from syncmonoid import (
     Endofunction,
     ExperimentConfig,
+    GeneratorSet,
     SimpleGraph,
     edge_graph_experiment,
     estimate_sync_probability,
@@ -22,7 +24,20 @@ from syncmonoid import (
     wilson_interval,
 )
 from syncmonoid import experiments
-from syncmonoid.experiments import _all_pairs_collapsible, _trial_outcome
+from syncmonoid.cli import main
+from syncmonoid.experiments import (
+    _all_pairs_collapsible,
+    _count_synchronizing,
+    _exact_by_enumeration,
+    _map_classes,
+    _map_table,
+    _pair_targets,
+    _partition_count,
+    _permutation_classes,
+    _pool_targets,
+    _synchronizing_rows,
+    _trial_outcome,
+)
 from syncmonoid.rng import Lanes
 from syncmonoid.transform import random_tables
 
@@ -93,6 +108,105 @@ class TestExact:
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             exact_sync_probability(3, 0, 0)
+
+
+A001372 = [1, 3, 7, 19, 47, 130]  # conjugacy classes of T_n, n = 1..6
+A000041 = [1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77]  # partitions of n = 1..12
+
+
+class TestExactByClasses:
+    """The class-reduced batch count against its oracles."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_map_classes(self, n):
+        reps, sizes = zip(*_map_classes(n))
+        assert len(sizes) == A001372[n - 1]
+        assert sum(sizes) == n**n
+        assert all(math.factorial(n) % size == 0 for size in sizes)
+        assert [rep.tolist() for rep in reps] == sorted(rep.tolist() for rep in reps)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_permutation_classes(self, n):
+        reps, sizes = zip(*_permutation_classes(n))
+        assert len(sizes) == _partition_count(n, 10**8) == A000041[n - 1]
+        assert sum(sizes) == math.factorial(n)
+        assert all(math.factorial(n) % size == 0 for size in sizes)
+        assert all(sorted(rep) == list(range(n)) for rep in reps)
+
+    def test_class_sizes_by_brute_force(self):
+        # every map of T_4 conjugated by every permutation of S_4
+        n = 4
+        perms = list(itertools.permutations(range(n)))
+        orbits = {}
+        for f in itertools.product(range(n), repeat=n):
+            orbit = frozenset(
+                tuple(sigma[f[sigma.index(v)]] for v in range(n)) for sigma in perms
+            )
+            orbits[min(orbit)] = len(orbit)
+        assert {tuple(rep.tolist()): size for rep, size in _map_classes(n)} == orbits
+
+    def test_map_table_order(self):
+        for n in range(1, 6):
+            assert _map_table(n).tolist() == [
+                list(t) for t in itertools.product(range(n), repeat=n)
+            ]
+
+    @pytest.mark.parametrize(
+        "n, r, s",
+        [
+            (n, r, s)
+            for n in range(1, 5)
+            for r in range(4)
+            for s in range(4 - r)
+            if r + s >= 1 and (n, r, s) not in ((4, 1, 2), (4, 0, 3))
+        ],
+    )
+    def test_against_enumeration(self, n, r, s):
+        assert exact_sync_probability(n, r, s).fraction == _exact_by_enumeration(n, r, s)
+
+    @pytest.mark.parametrize("r", [1, 0])
+    def test_class_reduction_at_four_points_three_generators(self, r):
+        # every first generator as its own class of size 1, against the same
+        # batches of two maps; the brute force would take minutes here
+        n = 4
+        first = itertools.permutations(range(n)) if r else itertools.product(range(n), repeat=n)
+        maps = _pool_targets(n, _map_table(n))
+        count = _count_synchronizing(n, [(f, 1) for f in first], [maps, maps], 4096)
+        total = math.factorial(n) ** r * (n**n) ** (3 - r)
+        assert exact_sync_probability(n, r, 3 - r).fraction == Fraction(count, total)
+
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    @pytest.mark.parametrize("r", [0, 1])
+    def test_batch_rows_against_closure(self, n, r):
+        streams = [substream(100 + n, t) for t in range(2000)]
+        tables = random_tables(n, r, 2 - r, Lanes(streams))
+        targets = _pair_targets(n, tables)  # (rows, 2, pairs)
+        pairs = targets.shape[-1]
+        flat = targets + np.arange(0, 2000 * (pairs + 1), pairs + 1)[:, None, None]
+        decided = _synchronizing_rows([flat[:, 0], flat[:, 1]])
+        expected = [
+            is_synchronizing(GeneratorSet([Endofunction(row) for row in rows]))
+            for rows in tables.tolist()
+        ]
+        assert decided.tolist() == expected
+        assert 0 < sum(expected) < 2000
+
+    def test_estimate_brackets_six_points_two_maps(self, capsys):
+        exact = Fraction(4332053, 5038848)
+        argv = ["estimate", "--n", "6", "--k", "2", "--trials", "20000", "--seed", "6"]
+        assert main(argv) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert record["ci_low"] <= exact <= record["ci_high"]
+
+    def test_guard_counts_classes_before_building_tables(self):
+        # 12 points, one permutation: 77 classes, no table of S_12
+        result = exact_sync_probability(12, 1, 0)
+        assert result.fraction == 0
+        assert result.context.startswith("77 conjugacy classes")
+        with pytest.raises(ValueError, match="closed form|estimate"):
+            exact_sync_probability(8, 0, 2)
+        with pytest.raises(ValueError, match="closed form|estimate"):
+            exact_sync_probability(10**4, 1, 0)
 
 
 class TestEstimate:

@@ -221,6 +221,13 @@ class TestShortestWord:
                 assert len(word) == oracle
                 assert rank(gens.evaluate(word)) == 1
 
+    def test_cap_on_visited_subsets(self):
+        with pytest.raises(CapExceeded) as info:
+            shortest_synchronizing_word(cerny4(), cap=3)
+        assert info.value.partial == 4
+        # 16 subsets of four points fit under a cap of 16, whatever the order
+        assert shortest_synchronizing_word(cerny4(), cap=16) == (1, 0, 0, 0, 1, 0, 0, 0, 1)
+
     def test_ties_break_lexicographically(self):
         # both generators are constants; index 0 must win
         gens = GeneratorSet([constant(3, 1), constant(3, 2)])
