@@ -35,15 +35,19 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CapExceeded, VerificationError
-from .graphs import (
+from .graphs import (  # bench/tracing.py hooks several of these names here
     SimpleGraph,
     check_maximality_conditions,
     chromatic_number,
     clique_number,
     derived_graph,
+    edges_from_bits,
     endomorphism_count,
+    endomorphism_set,
     enumerate_graphs,
+    graph_classes,
     hull,
+    is_maximal_given,
     is_maximal_nonsynchronizing,
     pair_numbering,
 )
@@ -61,7 +65,7 @@ from .transform import (
 
 AUDIT_EVERY = 100  # replay a min-rank certificate on 1% of synchronizing trials
 LANE_BUDGET = 2**15  # image-table entries, lanes * (r + s) * n, in one block of trials
-MAXIMALITY_MAX_N = 5  # largest n that explore runs the maximality test on
+MAXIMALITY_MAX_N = 7  # largest n that explore runs the maximality test on
 
 
 @dataclass(frozen=True)
@@ -374,7 +378,9 @@ def exact_sync_probability(n: int, r: int, s: int) -> ExactResult:
     """Exact probability that r uniform permutations and s uniform
     endofunctions (independent, with replacement) generate a synchronizing
     monoid.  The single-endofunction case has a closed form (one periodic
-    point <=> a rooted tree: n^(n-1) of n^n maps).
+    point <=> a rooted tree: n^(n-1) of n^n maps).  Once the guard
+    admits the count, the answer without endofunctions is 0 for n >= 2,
+    since permutations never lower the rank, and on one point it is 1.
 
     Everything else counts up to conjugacy: conjugating every generator by
     the same permutation keeps synchronization and permutes S_n and T_n.
@@ -396,6 +402,14 @@ def exact_sync_probability(n: int, r: int, s: int) -> ExactResult:
             f"more than {ENUMERATION_GUARD} first-generator classes times tuples of the "
             "others is too many to enumerate; use the (r,s)=(0,1) closed form or "
             "estimate_sync_probability"
+        )
+    if n == 1:
+        return ExactResult.from_fraction(Fraction(1), "every map on one point has rank 1")
+    if s == 0:
+        return ExactResult.from_fraction(
+            Fraction(0),
+            f"{classes} conjugacy classes of the first generator, none walked: a "
+            f"permutation group on {n} points has no element of rank 1",
         )
     first = _permutation_classes(n) if r else _map_classes(n)
     classes = classes if r else len(first)
@@ -495,58 +509,87 @@ def explore_maximal_nonsync(
     canonical: bool = False,
     end_cap: int = 10**6,
 ):
-    """Stream one record per graph on n vertices.
+    """Stream one record per graph on n vertices, in bitstring order: every
+    labeled graph, or with ``canonical`` the lex-least labeling of each
+    isomorphism class.
 
     Each record carries the maximality conditions; graphs satisfying them
     get an endomorphism count and, for n <= MAXIMALITY_MAX_N, the graph-based
-    ``is_maximal_nonsynchronizing`` verdict.  Every record also reports
-    whether the derived graph differs from the graph and, if so, whether the
-    pair would satisfy all four conditions for a two-graph maximal-monoid
-    presentation with distinct graphs (no such pair is expected).
-    Caps produce per-graph skip notes, never an abort.
+    maximality verdict, both from one enumeration of End(x).  Every record
+    also reports whether the derived graph differs from the graph and, if
+    so, whether the pair would satisfy all four conditions for a two-graph
+    maximal-monoid presentation with distinct graphs (no such pair is
+    expected).  Caps produce skip notes, never an abort.
+
+    Every field but ``edges`` is an isomorphism invariant, so
+    ``_graph_record`` runs once per class, on its least labeling, and each
+    labeled member of the class streams a copy with its own edges.
     """
-    for x in enumerate_graphs(n, canonical):
-        cond = check_maximality_conditions(x)
-        record = {
-            "n": n,
-            "canonical": canonical,
-            "edges": [[v + 1, w + 1] for v, w in x.edges()],
-            "null": x.is_null(),
-            "complete": x == SimpleGraph.complete(n),
-            "is_hull": cond.is_hull,
-            "omega": cond.omega,
-            "chi": cond.chi,
-            "every_edge_in_max_clique": cond.every_edge_in_max_clique,
-            "passes": cond.passes,
-            "end_count": None,
-            "maximal": None,
-            "derived_differs": False,
-            "distinct_pair_candidate": None,
-            "skips": [],
-        }
-        if cond.passes:
-            try:
-                record["end_count"] = str(endomorphism_count(x, cap=end_cap))
-            except CapExceeded as exc:
-                record["skips"].append(f"end_count: {exc}")
+    records = {}
+    for value, least in graph_classes(n):
+        if value == least:
+            records[least] = _graph_record(
+                SimpleGraph.from_edges(n, edges_from_bits(n, value)), end_cap
+            )
+        elif canonical:
+            continue
+        record = records[least]
+        yield dict(
+            record,
+            canonical=canonical,
+            edges=[[v + 1, w + 1] for v, w in edges_from_bits(n, value)],
+            skips=list(record["skips"]),
+        )
+
+
+def _graph_record(x: SimpleGraph, end_cap: int) -> dict:
+    """The explorer's record of one graph without its ``canonical`` and
+    ``edges`` fields.  Every field in it is an isomorphism invariant, skip
+    notes included: each cap reports the count cap + 1 at which it stopped."""
+    n = x.n
+    cond = check_maximality_conditions(x)
+    record = {
+        "n": n,
+        "null": x.is_null(),
+        "complete": x == SimpleGraph.complete(n),
+        "is_hull": cond.is_hull,
+        "omega": cond.omega,
+        "chi": cond.chi,
+        "every_edge_in_max_clique": cond.every_edge_in_max_clique,
+        "passes": cond.passes,
+        "end_count": None,
+        "maximal": None,
+        "derived_differs": False,
+        "distinct_pair_candidate": None,
+        "skips": [],
+    }
+    if cond.passes:
+        try:
+            endos = endomorphism_set(x, cap=end_cap)
+        except CapExceeded as exc:  # the count and the verdict both need End(x)
+            record["skips"].append(f"end_count: {exc}")
+            if n <= MAXIMALITY_MAX_N:
+                record["skips"].append(f"maximal: {exc}")
+        else:
+            record["end_count"] = str(len(endos))
             if n <= MAXIMALITY_MAX_N:
                 try:
-                    record["maximal"] = is_maximal_nonsynchronizing(x, cap=end_cap)
+                    record["maximal"] = is_maximal_given(x, endos, cap=end_cap)
                 except CapExceeded as exc:
                     record["skips"].append(f"maximal: {exc}")
-        y = derived_graph(x)
-        if y != x:
-            record["derived_differs"] = True
-            try:
-                record["distinct_pair_candidate"] = (
-                    endomorphism_count(x, cap=end_cap)
-                    == endomorphism_count(y, cap=end_cap)
-                    and clique_number(y) == cond.omega == cond.chi == chromatic_number(y)
-                    and hull(y) == x
-                )
-            except CapExceeded as exc:
-                record["skips"].append(f"distinct_pair_candidate: {exc}")
-        yield record
+    y = derived_graph(x)
+    if y != x:
+        record["derived_differs"] = True
+        try:
+            record["distinct_pair_candidate"] = (
+                endomorphism_count(x, cap=end_cap)
+                == endomorphism_count(y, cap=end_cap)
+                and clique_number(y) == cond.omega == cond.chi == chromatic_number(y)
+                and hull(y) == x
+            )
+        except CapExceeded as exc:
+            record["skips"].append(f"distinct_pair_candidate: {exc}")
+    return record
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 Vertices are 0..n-1; adjacency is one bitmask per vertex.  Everything here
 is exact and deterministic: branch-and-bound cliques, DSATUR backtracking
-coloring, a CSP for graph endomorphisms, hulls, derived graphs, and a
-maximality test for End(x) that searches graphs with a larger End.
+coloring, a CSP for graph endomorphisms, hulls, derived graphs, a
+maximality test for End(x) that searches graphs with a larger End, and a
+walk over all graphs on n vertices that marks each isomorphism class once.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import CapExceeded
 from .transform import Endofunction
@@ -361,14 +364,20 @@ def endomorphism_search(x: SimpleGraph, pins=None, require_merge=None):
     return None
 
 
+def endomorphism_set(x: SimpleGraph, cap: int = 10**6) -> set[tuple[int, ...]]:
+    """Image tables of all endomorphisms of x.  One enumeration gives both
+    |End(x)| and the orbits that ``is_maximal_given`` needs."""
+    endos = set()
+    for imgs in _endomorphism_csp(x):
+        endos.add(imgs)
+        if len(endos) > cap:
+            raise CapExceeded("endomorphism enumeration exceeded cap", len(endos))
+    return endos
+
+
 def enumerate_endomorphisms(x: SimpleGraph, cap: int = 10**6) -> list[Endofunction]:
     """All endomorphisms of x, sorted by image table."""
-    out = []
-    for imgs in _endomorphism_csp(x):
-        out.append(imgs)
-        if len(out) > cap:
-            raise CapExceeded("endomorphism enumeration exceeded cap", len(out))
-    return [Endofunction(t) for t in sorted(out)]
+    return [Endofunction(t) for t in sorted(endomorphism_set(x, cap))]
 
 
 def endomorphism_count(x: SimpleGraph, cap: int = 10**6) -> int:
@@ -387,7 +396,11 @@ def endomorphism_count(x: SimpleGraph, cap: int = 10**6) -> int:
 def hull(x: SimpleGraph) -> SimpleGraph:
     """Graph whose edges are the pairs no endomorphism of x can merge.
 
-    One merge-CSP per vertex pair; End(x) itself is never enumerated.
+    One merge-CSP per vertex pair, so End(x) is never enumerated: the
+    explorer takes the hull of every class, passing or not, and End(x) has
+    n^n elements for the null graph.  Where End(x) is enumerated anyway (``endomorphism_set``),
+    the same pairs are those no table in it merges, and
+    ``is_maximal_given`` reads them off it.
     """
     n = x.n
     edges = []
@@ -453,14 +466,13 @@ def is_maximal_nonsynchronizing(x: SimpleGraph, cap: int = 10**6) -> bool:
     no endomorphism of x merges.  ``cap`` bounds |End(x)| and the number of
     such unions.
     """
-    if x.is_null():
-        return False  # End(x) is everything, and contains the constants
-    endos = set()
-    for imgs in _endomorphism_csp(x):
-        endos.add(imgs)
-        if len(endos) > cap:
-            raise CapExceeded("endomorphism enumeration exceeded cap", len(endos))
+    # A null x has End(x) = T_n, which contains the constants.
+    return not x.is_null() and is_maximal_given(x, endomorphism_set(x, cap), cap)
 
+
+def is_maximal_given(x: SimpleGraph, endos, cap: int = 10**6) -> bool:
+    """``is_maximal_nonsynchronizing`` for a nonnull x whose endomorphisms
+    are already enumerated: ``endos`` is the set ``endomorphism_set(x)``."""
     pairs, offs = pair_numbering(x.n)
     orbits = set()  # bit p stands for pairs[p]
     for v, w in pairs:
@@ -476,7 +488,9 @@ def is_maximal_nonsynchronizing(x: SimpleGraph, cap: int = 10**6) -> bool:
     for orbit in sorted(orbits):
         unions |= {u | orbit for u in unions}
         if len(unions) - 1 > cap:
-            raise CapExceeded("orbit unions exceeded cap", len(unions) - 1)
+            # cap + 1, not len(unions) - 1: the count reached when the cap is
+            # crossed depends on the orbit order, so on the labeling of x.
+            raise CapExceeded("orbit unions exceeded cap", cap + 1)
     unions.discard(0)
 
     for union in sorted(unions):
@@ -500,10 +514,11 @@ def adjacency_bits(x: SimpleGraph) -> int:
 
 
 @functools.lru_cache(maxsize=None)
-def _relabelings(n: int) -> tuple[tuple[int, ...], ...]:
-    """One slot map per vertex permutation.  Entry p is the bit position, in
-    ``adjacency_bits`` of a graph, of the pair that pair p becomes when the
-    vertices are renamed by the permutation."""
+def _relabelings(n: int) -> np.ndarray:
+    """One row of slot maps per vertex permutation, shape (n!, n(n-1)/2),
+    read-only.  Entry p is the bit position, in ``adjacency_bits`` of a
+    graph, of the pair that pair p becomes when the vertices are renamed by
+    the permutation."""
     pairs, offs = pair_numbering(n)
     top = len(pairs) - 1
     maps = []
@@ -512,35 +527,60 @@ def _relabelings(n: int) -> tuple[tuple[int, ...], ...]:
         for v, w in pairs:
             a, b = perm[v], perm[w]
             mapping.append(top - (offs[a] + b if a < b else offs[b] + a))
-        maps.append(tuple(mapping))
-    return tuple(maps)
+        maps.append(mapping)
+    maps = np.array(maps, dtype=np.int64)
+    maps.setflags(write=False)
+    return maps
 
 
-def _relabel(value: int, mapping) -> int:
-    """Adjacency bits of the graph relabeled by ``mapping``: slot p takes the
-    bit at position mapping[p] of ``value``."""
-    out = 0
-    for bit in mapping:
-        out = out << 1 | (value >> bit & 1)
-    return out
+def _orbit(n: int, value: int) -> np.ndarray:
+    """Adjacency bits of the graph ``value`` under each of the n! relabelings
+    (with repeats): slot p of a relabeled graph takes the bit at position
+    mapping[p] of ``value``."""
+    maps = _relabelings(n)
+    weights = 1 << np.arange(maps.shape[1] - 1, -1, -1, dtype=np.int64)
+    return (value >> maps & 1) @ weights
 
 
 def canonical_form(x: SimpleGraph) -> int:
     """Lexicographically least adjacency bitstring over all vertex
     relabelings.  Brute force over n! permutations; meant for n <= 8."""
-    value = adjacency_bits(x)
-    return min(_relabel(value, mapping) for mapping in _relabelings(x.n))
+    return int(_orbit(x.n, adjacency_bits(x)).min())
+
+
+def edges_from_bits(n: int, value: int) -> list[tuple[int, int]]:
+    """Edges, in lexicographic order, of the graph on n vertices whose
+    ``adjacency_bits`` are ``value``."""
+    pairs, _ = pair_numbering(n)
+    top = len(pairs) - 1
+    return [pair for p, pair in enumerate(pairs) if value >> (top - p) & 1]
+
+
+def graph_classes(n: int):
+    """Yield ``(value, least)`` for every adjacency bitstring on n vertices,
+    in increasing order, where ``least`` is the least bitstring of its
+    isomorphism class (its ``canonical_form``).
+
+    A value not marked yet when the walk reaches it is the least member of
+    a new class, and its whole orbit is marked at once: one orbit per class
+    instead of n! relabelings per bitstring.  The marks take one int32 per
+    bitstring (8 MB at n = 7).
+    """
+    least = np.full(1 << (n * (n - 1) // 2), -1, dtype=np.int32)
+    for value in range(least.shape[0]):
+        rep = int(least[value])
+        if rep < 0:
+            rep = value
+            least[_orbit(n, value)] = value
+        yield value, rep
 
 
 def enumerate_graphs(n: int, canonical: bool = False):
     """All labeled graphs on n vertices in bitstring order, or one
     representative (the lex-least labeling) per isomorphism class."""
-    pairs, _ = pair_numbering(n)
-    total = len(pairs)
-    maps = _relabelings(n) if canonical else ()
-    for value in range(1 << total):
-        if any(_relabel(value, mapping) < value for mapping in maps):
-            continue
-        yield SimpleGraph.from_edges(
-            n, [pair for p, pair in enumerate(pairs) if value >> (total - 1 - p) & 1]
-        )
+    if canonical:
+        values = (value for value, least in graph_classes(n) if value == least)
+    else:
+        values = range(1 << (n * (n - 1) // 2))
+    for value in values:
+        yield SimpleGraph.from_edges(n, edges_from_bits(n, value))

@@ -139,6 +139,15 @@ class TestExperimentsCommands:
         assert json.loads(out) == {"exact": "0/1"}
         assert "77 conjugacy classes" in err
 
+    def test_exact_permutations_alone_answer_at_once(self, capsys):
+        # the guard admits all p(94) cycle types; none of them is walked
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["exact", "--n", "94", "--perms", "1", "--maps-count", "0"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert json.loads(out) == {"exact": "0/1"}
+        assert "no element of rank 1" in err
+
     def test_python_dash_m(self):
         env = dict(os.environ, PYTHONPATH=str(Path(syncmonoid.__file__).parents[1]))
         done = subprocess.run(
@@ -282,12 +291,15 @@ class TestErrorHandling:
 
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "bench" / "golden"
+TESTS_GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 
 class TestGoldenOutputs:
     """The benchmark's Monte Carlo workloads at their default seeds, and its
     explore workload, with the same arguments as bench/workloads.py, must
-    reproduce the committed golden output byte for byte."""
+    reproduce the committed golden output byte for byte.  So must
+    ``explore --n 6 --canonical``, the first size with maximality verdicts
+    that no bench workload runs; its copy lives in tests/golden/."""
 
     def test_estimate_k1_seed7(self, capsys):
         argv = ["estimate", "--n", "30", "--k", "1", "--trials", "10000",
@@ -310,3 +322,8 @@ class TestGoldenOutputs:
         code, out, _ = run(capsys, ["explore", "--n", "5"])
         assert code == 0
         assert out == (GOLDEN_DIR / "explore5.out").read_text()
+
+    def test_explore_n6_canonical(self, capsys):
+        code, out, _ = run(capsys, ["explore", "--n", "6", "--canonical"])
+        assert code == 0
+        assert out == (TESTS_GOLDEN_DIR / "explore6_canonical.out").read_text()

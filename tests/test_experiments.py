@@ -13,6 +13,7 @@ from syncmonoid import (
     GeneratorSet,
     SimpleGraph,
     edge_graph_experiment,
+    enumerate_graphs,
     estimate_sync_probability,
     exact_sync_probability,
     explore_maximal_nonsync,
@@ -29,6 +30,7 @@ from syncmonoid.experiments import (
     _all_pairs_collapsible,
     _count_synchronizing,
     _exact_by_enumeration,
+    _graph_record,
     _map_classes,
     _map_table,
     _pair_targets,
@@ -438,6 +440,39 @@ class TestExplorer:
     def test_records_serialize(self):
         for record in explore_maximal_nonsync(3):
             json.dumps(record)
+
+    @pytest.mark.parametrize("end_cap", [3, 20, 100, 10**6])
+    def test_class_records_equal_per_label_records(self, end_cap):
+        # the oracle runs the per-graph body on every labeled graph, so every
+        # field it copies from the class's least labeling must agree
+        skips = 0
+        for n in range(1, 6):
+            expected = [
+                dict(_graph_record(x, end_cap), canonical=False,
+                     edges=[[v + 1, w + 1] for v, w in x.edges()])
+                for x in enumerate_graphs(n)
+            ]
+            assert list(explore_maximal_nonsync(n, end_cap=end_cap)) == expected
+            skips += sum(len(record["skips"]) for record in expected)
+        assert (skips > 0) == (end_cap < 10**6)
+
+    @pytest.mark.parametrize("n, classes, passing", [(4, 11, 8), (5, 34, 16)])
+    def test_one_check_per_class(self, monkeypatch, capsys, n, classes, passing):
+        calls = {"conditions": 0, "end": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(experiments, "check_maximality_conditions",
+                            counted("conditions", experiments.check_maximality_conditions))
+        monkeypatch.setattr(experiments, "endomorphism_set",
+                            counted("end", experiments.endomorphism_set))
+        assert main(["explore", "--n", str(n)]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 2 ** (n * (n - 1) // 2)
+        assert calls == {"conditions": classes, "end": passing}
 
     def test_caps_produce_skip_notes_not_errors(self):
         records = list(explore_maximal_nonsync(4, end_cap=10))

@@ -29,7 +29,7 @@ from syncmonoid import (
     separation_graph,
     substream,
 )
-from syncmonoid.graphs import pair_numbering
+from syncmonoid.graphs import edges_from_bits, graph_classes, pair_numbering
 
 
 def c5():
@@ -334,6 +334,21 @@ class TestMaximality:
             is_maximal_nonsynchronizing(x, cap=20)
         assert not is_maximal_nonsynchronizing(x, cap=10**6)
 
+    @pytest.mark.parametrize("cap", [12, 20])
+    def test_orbit_union_cap_note_ignores_labeling(self, cap):
+        # The orbits come in a different order under this relabeling, so the
+        # union count first passes cap 12 at 19 for x and at 17 for y.
+        x = SimpleGraph.from_edges(7, [(0, 2), (0, 4), (1, 3), (1, 4), (1, 6), (2, 4),
+                                       (2, 5), (2, 6), (3, 5), (3, 6), (4, 6), (5, 6)])
+        perm = (0, 1, 2, 3, 5, 6, 4)
+        y = SimpleGraph.from_edges(7, [(perm[v], perm[w]) for v, w in x.edges()])
+        notes = []
+        for g in (x, y):
+            with pytest.raises(CapExceeded) as exc:
+                is_maximal_nonsynchronizing(g, cap=cap)
+            notes.append((exc.value.partial, str(exc.value)))
+        assert notes == [(cap + 1, f"orbit unions exceeded cap (partial count: {cap + 1})")] * 2
+
 
 class TestGraphMonoidBridge:
     def test_separation_graphs_have_omega_equal_chi(self, instance_corpus):
@@ -365,6 +380,24 @@ class TestEnumeration:
     def test_canonical_counts(self):
         assert sum(1 for _ in enumerate_graphs(3, canonical=True)) == 4
         assert sum(1 for _ in enumerate_graphs(4, canonical=True)) == 11
+        assert sum(1 for _ in enumerate_graphs(6, canonical=True)) == 156  # A000088
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_graph_classes_are_the_relabeling_orbits(self, n):
+        classes = {}
+        for value, least in graph_classes(n):
+            classes.setdefault(least, []).append(value)
+        assert sorted(v for members in classes.values() for v in members) == list(
+            range(1 << (n * (n - 1) // 2))
+        )
+        for least, members in classes.items():
+            g = SimpleGraph.from_edges(n, edges_from_bits(n, least))
+            assert adjacency_bits(g) == least
+            orbit = {
+                adjacency_bits(SimpleGraph.from_edges(n, [(p[v], p[w]) for v, w in g.edges()]))
+                for p in itertools.permutations(range(n))
+            }
+            assert members == sorted(orbit)
 
     def test_canonical_reps_cover_all_classes(self):
         reps = {adjacency_bits(g) for g in enumerate_graphs(4, canonical=True)}
