@@ -12,7 +12,11 @@ of the whole block at once (``transform.random_tables``).  A lane that hit
 a rejected draw is redone from its untouched stream by ``_trial_outcome``,
 the scalar path, which is also the oracle for the lanes.  A single map is
 decided for the whole block by repeated squaring; other mixes go through
-the pair fixpoint one trial at a time.
+the pair fixpoint in numpy batches of ``BATCH_BUDGET`` pair targets, many
+lanes to a call.  Their verdicts are certified from the generators alone
+by a step-by-step fixpoint on one trial: 1% of the synchronizing trials
+replay a reset word built from it, and every trial judged not synchronizing
+shows a nonempty set of pairs that no generator merges or leaves.
 
 Exact probabilities count up to conjugacy: the first generator runs over
 one representative per conjugacy class of S_n (a cycle type) or of T_n,
@@ -53,7 +57,12 @@ from .graphs import (  # bench/tracing.py hooks several of these names here
 )
 from .rng import Lanes, derive_seed, substream
 from .stats import EstimateWithCI, make_estimate
-from .sync import GeneratorSet, is_synchronizing, min_rank_witness
+from .sync import (  # bench/tracing.py hooks min_rank_witness here
+    GeneratorSet,
+    Word,
+    is_synchronizing,
+    min_rank_witness,
+)
 from .transform import (
     Endofunction,
     has_unique_periodic_point,
@@ -63,7 +72,8 @@ from .transform import (
     rank,
 )
 
-AUDIT_EVERY = 100  # replay a min-rank certificate on 1% of synchronizing trials
+AUDIT_EVERY = 100  # replay a reset word on 1% of synchronizing trials
+BATCH_BUDGET = 2**15  # pair targets, rows * (r + s) * (pairs + 1), in one fixpoint call
 LANE_BUDGET = 2**15  # image-table entries, lanes * (r + s) * n, in one block of trials
 MAXIMALITY_MAX_N = 7  # largest n that explore runs the maximality test on
 
@@ -109,19 +119,20 @@ class ExactResult:
 
 
 # ---------------------------------------------------------------------------
-# fast bulk synchronization test
+# the pair fixpoint: batched decisions, the scalar path and certificates
 
 
 @functools.lru_cache(maxsize=None)
 def _pair_arrays(n: int):
-    """``pair_numbering(n)`` as read-only int64 arrays: first points,
-    second points, offsets."""
-    pairs, offs = pair_numbering(n)
-    arrays = (
-        np.array([v for v, _ in pairs], dtype=np.int64),
-        np.array([w for _, w in pairs], dtype=np.int64),
-        np.array(offs, dtype=np.int64),
-    )
+    """``pair_numbering(n)`` as read-only intp arrays: first points, second
+    points, and the flat n*n pair-index table whose entry a*n + b is the
+    index of pair {a, b}, or the number of pairs (the merged state) when
+    a == b."""
+    pairs, _ = pair_numbering(n)
+    first, second = np.array(pairs, dtype=np.intp).reshape(-1, 2).T.copy()
+    index = np.full((n, n), len(pairs), dtype=np.intp)
+    index[first, second] = index[second, first] = np.arange(len(pairs))
+    arrays = (first, second, index.reshape(-1))
     for a in arrays:
         a.flags.writeable = False
     return arrays
@@ -130,21 +141,29 @@ def _pair_arrays(n: int):
 def _pair_targets(n: int, tables) -> np.ndarray:
     """Where each table (..., n) sends each pair: the index of the image
     pair, or the number of pairs when the table merges the pair."""
-    pair_v, pair_w, offs = _pair_arrays(n)
-    tables = np.asarray(tables)
-    a = tables.take(pair_v, axis=-1)
-    b = tables.take(pair_w, axis=-1)
-    targets = offs.take(np.minimum(a, b)) + np.maximum(a, b)
-    targets[a == b] = pair_v.shape[0]
-    return targets
+    first, second, index = _pair_arrays(n)
+    tables = np.asarray(tables, dtype=np.intp)  # in uint8, a * n would wrap
+    flat = (tables * n).take(first, axis=-1)
+    flat += tables.take(second, axis=-1)  # in place: one fresh array fewer per batch
+    return index.take(flat)
+
+
+def _batch_rows(n: int, k: int) -> int:
+    """Rows of k generators' pair targets that fit in one batch of
+    ``BATCH_BUDGET`` entries, counting each row's merged state."""
+    return max(1, BATCH_BUDGET // (k * (n * (n - 1) // 2 + 1)))
 
 
 def _synchronizing_rows(targets) -> np.ndarray:
     """Which rows of a batch synchronize.  ``targets`` holds one (rows,
-    pairs) array per generator; its entries index the flattened (rows,
-    pairs + 1) state, whose last column in each row is the merged state.
-    Sweeps until the set of collapsible pairs stops growing."""
-    rows, pairs = targets[0].shape
+    pairs) array per generator, or a (pairs,) array shared by every row,
+    as ``_pair_targets`` gives them.  Each row gets its own block of a flat
+    (rows, pairs + 1) state, whose last column is the merged state, and the
+    generators sweep over it in turn until the set of collapsible pairs
+    stops growing."""
+    rows, pairs = np.broadcast_shapes(*(t.shape for t in targets))
+    base = np.arange(0, rows * (pairs + 1), pairs + 1)[:, None]
+    targets = [t + base for t in targets]
     state = np.zeros((rows, pairs + 1), dtype=bool)
     state[:, pairs] = True
     flat = state.reshape(-1)
@@ -159,12 +178,78 @@ def _synchronizing_rows(targets) -> np.ndarray:
         known = total
 
 
+def _synchronizing_lanes(n: int, tables) -> np.ndarray:
+    """Which lanes of a block of image tables (lanes, k, n) synchronize,
+    ``_batch_rows(n, k)`` lanes to a fixpoint call."""
+    rows = _batch_rows(n, tables.shape[1])
+    return np.concatenate([
+        _synchronizing_rows(list(_pair_targets(n, tables[lo : lo + rows]).swapaxes(0, 1)))
+        for lo in range(0, tables.shape[0], rows)
+    ])
+
+
 def _all_pairs_collapsible(n: int, image_tables) -> bool:
-    """Vectorized fixpoint on the pair automaton for one generator list.
-    Equivalent to the backward closure in sync.collapsible_pairs
-    (property-tested against it); used in the Monte Carlo hot loop where
-    per-trial Python overhead dominates."""
-    return bool(_synchronizing_rows(_pair_targets(n, image_tables)[:, None])[0])
+    """The pair fixpoint for one generator list, as a single row.  The
+    scalar path, which decides the redone lanes, and the oracle that the
+    batched ``_synchronizing_lanes`` is tested against; equivalent to the
+    backward closure sync.collapsible_pairs (property-tested against it)."""
+    return bool(_synchronizing_rows(list(_pair_targets(n, image_tables)[:, None]))[0])
+
+
+def _collapse_steps(n: int, image_tables) -> np.ndarray:
+    """The pair fixpoint for one generator list, one generator at a time:
+    entry p is the step sweep * k + g at which generator g collapsed pair
+    p, or -1 if no generator ever did.  A step reads the state before it,
+    so generator g sends a pair collapsed at step t onto the merged state
+    or onto a pair collapsed at an earlier step."""
+    targets = _pair_targets(n, image_tables)
+    k, pairs = targets.shape
+    done = np.zeros(pairs + 1, dtype=bool)
+    done[pairs] = True
+    steps = np.full(pairs, -1, dtype=np.intp)
+    step, last, left = 0, -1, pairs
+    while left and step - last <= k:  # until k steps in a row collapse nothing
+        new = np.flatnonzero(done.take(targets[step % k]) > done[:pairs])
+        if new.size:
+            steps[new] = step
+            done[new] = True
+            left -= new.size
+            last = step
+        step += 1
+    return steps
+
+
+def _reset_word(gen_set: GeneratorSet) -> tuple[Word, Endofunction]:
+    """Greedy merging along ``_collapse_steps``: while the image has two
+    points, follow the steps from the pair of its two least points down to
+    the merged state.  Returns the word and the map it evaluates to; a pair
+    that never collapsed, or steps that fail to descend (which would loop),
+    raise VerificationError."""
+    n, images = gen_set.n, [g.images for g in gen_set.generators]
+    steps = _collapse_steps(n, images)
+    index = _pair_arrays(n)[2]
+    word: list[int] = []
+    current = list(range(n))
+    image = sorted(set(current))
+    while len(image) > 1:
+        v, w = image[:2]
+        piece, last = [], math.inf
+        while v != w:
+            step = int(steps[index[v * n + w]])
+            if step < 0:
+                raise VerificationError(f"pair {{{v},{w}}} of the image never collapsed")
+            if step >= last:
+                raise VerificationError(f"pair {{{v},{w}}} collapsed no earlier than its preimage")
+            last = step
+            piece.append(step % len(images))
+            g = images[piece[-1]]
+            v, w = g[v], g[w]
+        for gi in piece:
+            g = images[gi]
+            current = [g[x] for x in current]
+        word += piece
+        image = sorted(set(current))
+    return tuple(word), Endofunction(current)
 
 
 def _single_map_synchronizes(maps):
@@ -206,9 +291,27 @@ def _trial_outcome(config: ExperimentConfig, stream) -> tuple[bool, list]:
 def _audit(gens: list) -> None:
     """Replay a rank-1 certificate for a trial flagged synchronizing."""
     gen_set = GeneratorSet(gens)
-    word, witness = min_rank_witness(gen_set)
+    word, witness = _reset_word(gen_set)
     if rank(witness) != 1 or gen_set.evaluate(word) != witness:
         raise VerificationError("synchronization certificate replay failed")
+
+
+def _check_stuck(gens: list) -> None:
+    """Certify a trial flagged not synchronizing.  The pairs that
+    ``_collapse_steps`` never collapsed must form a nonempty set that no
+    generator merges a pair of or maps a pair out of, so that no word
+    merges any of them; checked on the image tables alone."""
+    n = gens[0].n
+    first, second, _ = _pair_arrays(n)
+    never = _collapse_steps(n, [g.images for g in gens]) < 0
+    stuck = set(zip(first[never].tolist(), second[never].tolist()))
+    closed = bool(stuck) and all(
+        (g.images[v], g.images[w]) in stuck or (g.images[w], g.images[v]) in stuck
+        for g in gens
+        for v, w in stuck
+    )
+    if not closed:
+        raise VerificationError("non-synchronization certificate check failed")
 
 
 def _run_chunk(args) -> int:
@@ -219,17 +322,21 @@ def _run_chunk(args) -> int:
         if (r, s) == (0, 1):
             sync = _single_map_synchronizes(tables[:, 0]) & ~rejected
         else:
-            sync = np.array([
-                not bad and _all_pairs_collapsible(n, rows)
-                for rows, bad in zip(tables, rejected)
-            ])
+            sync = _synchronizing_lanes(n, tables) & ~rejected
         redone = {}
         for i in np.flatnonzero(rejected).tolist():
             sync[i], redone[i] = _trial_outcome(config, streams[i])
         successes += int(np.count_nonzero(sync))
+
+        def gens(i):
+            return redone.get(i) or [Endofunction(row) for row in tables[i].tolist()]
+
         for i in range(-start % AUDIT_EVERY, len(streams), AUDIT_EVERY):
             if sync[i]:
-                _audit(redone.get(i) or [Endofunction(row) for row in tables[i].tolist()])
+                _audit(gens(i))
+        if (r, s) != (0, 1):
+            for i in np.flatnonzero(~sync).tolist():
+                _check_stuck(gens(i))
     return successes
 
 
@@ -263,7 +370,6 @@ def estimate_sync_probability(config: ExperimentConfig, threads: int = 1) -> Est
 # exact probabilities, counted up to conjugacy
 
 ENUMERATION_GUARD = 10**8  # first-generator classes times tuples of the others
-BATCH_BUDGET = 2**15  # pair targets, rows * (r + s) * (pairs + 1), in one batch
 
 
 def _partitions(n: int, largest: int | None = None):
@@ -347,7 +453,7 @@ def _pool_targets(n: int, table) -> np.ndarray:
     type, computed ``BATCH_BUDGET`` entries at a time."""
     pairs = n * (n - 1) // 2
     targets = np.empty((table.shape[0], pairs), dtype=np.min_scalar_type(pairs))
-    step = max(1, BATCH_BUDGET // (pairs + 1))
+    step = _batch_rows(n, 1)
     for lo in range(0, table.shape[0], step):
         targets[lo : lo + step] = _pair_targets(n, table[lo : lo + step])
     return targets
@@ -358,17 +464,15 @@ def _count_synchronizing(n: int, classes, pools, rows: int) -> int:
     times the number of tuples (rep, g_2, ..., g_k) that generate a
     synchronizing monoid, g_i running over the rows of the pair targets
     ``pools[i - 2]``.  The tuples of the pools run in batches of ``rows``."""
-    pairs = n * (n - 1) // 2
     rest = math.prod(pool.shape[0] for pool in pools)
     count = 0
     for rep, weight in classes:
         first = _pair_targets(n, rep)
         for lo in range(0, rest, rows):
             index = np.arange(lo, min(lo + rows, rest))
-            base = np.arange(0, index.shape[0] * (pairs + 1), pairs + 1)[:, None]
-            targets = [first + base]
+            targets = [first]
             for pool in reversed(pools):
-                targets.append(pool[index % pool.shape[0]] + base)
+                targets.append(pool[index % pool.shape[0]])
                 index = index // pool.shape[0]
             count += weight * int(np.count_nonzero(_synchronizing_rows(targets)))
     return count
@@ -378,9 +482,10 @@ def exact_sync_probability(n: int, r: int, s: int) -> ExactResult:
     """Exact probability that r uniform permutations and s uniform
     endofunctions (independent, with replacement) generate a synchronizing
     monoid.  The single-endofunction case has a closed form (one periodic
-    point <=> a rooted tree: n^(n-1) of n^n maps).  Once the guard
-    admits the count, the answer without endofunctions is 0 for n >= 2,
-    since permutations never lower the rank, and on one point it is 1.
+    point <=> a rooted tree: n^(n-1) of n^n maps).  On one point every
+    answer is 1, and without endofunctions it is 0 for n >= 2, since
+    permutations never lower the rank; both come before the guard, and the
+    context names the number of cycle types only when it was counted.
 
     Everything else counts up to conjugacy: conjugating every generator by
     the same permutation keeps synchronization and permutes S_n and T_n.
@@ -391,6 +496,14 @@ def exact_sync_probability(n: int, r: int, s: int) -> ExactResult:
         raise ValueError("need n >= 1 and at least one generator")
     if r == 0 and s == 1:
         return ExactResult.from_fraction(Fraction(1, n), f"closed form {n}^{n - 1}/{n}^{n}")
+    if n == 1:
+        return ExactResult.from_fraction(Fraction(1), "every map on one point has rank 1")
+    if s == 0:
+        note = f"a permutation group on {n} points has no element of rank 1"
+        classes = _partition_count(n, ENUMERATION_GUARD)
+        if classes <= ENUMERATION_GUARD:  # else the count stopped short of p(n)
+            note = f"{classes} conjugacy classes of the first generator, none walked: {note}"
+        return ExactResult.from_fraction(Fraction(0), note)
     perms, maps = math.factorial(n), n**n
     rest = perms ** max(r - 1, 0) * maps ** (s - (r == 0))
     if r:
@@ -403,14 +516,6 @@ def exact_sync_probability(n: int, r: int, s: int) -> ExactResult:
             "others is too many to enumerate; use the (r,s)=(0,1) closed form or "
             "estimate_sync_probability"
         )
-    if n == 1:
-        return ExactResult.from_fraction(Fraction(1), "every map on one point has rank 1")
-    if s == 0:
-        return ExactResult.from_fraction(
-            Fraction(0),
-            f"{classes} conjugacy classes of the first generator, none walked: a "
-            f"permutation group on {n} points has no element of rank 1",
-        )
     first = _permutation_classes(n) if r else _map_classes(n)
     classes = classes if r else len(first)
     pools = []
@@ -419,7 +524,7 @@ def exact_sync_probability(n: int, r: int, s: int) -> ExactResult:
         pools += [_pool_targets(n, permutations)] * (r - 1)
     if s > (r == 0):
         pools += [_pool_targets(n, _map_table(n))] * (s - (r == 0))
-    rows = max(1, BATCH_BUDGET // ((r + s) * (n * (n - 1) // 2 + 1)))
+    rows = _batch_rows(n, r + s)
     count = _count_synchronizing(n, first, pools, rows)
     return ExactResult.from_fraction(
         Fraction(count, perms**r * maps**s),

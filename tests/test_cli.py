@@ -5,6 +5,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import syncmonoid
@@ -148,6 +149,15 @@ class TestExperimentsCommands:
         assert json.loads(out) == {"exact": "0/1"}
         assert "no element of rank 1" in err
 
+    def test_exact_no_maps_answers_before_the_guard(self, capsys):
+        # p(10000) cycle types are far past the guard; none is needed
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["exact", "--n", "10000", "--perms", "1", "--maps-count", "0"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert out == '{"exact": "0/1"}\n'
+        assert "conjugacy classes" not in err
+
     def test_python_dash_m(self):
         env = dict(os.environ, PYTHONPATH=str(Path(syncmonoid.__file__).parents[1]))
         done = subprocess.run(
@@ -272,16 +282,39 @@ class TestErrorHandling:
         assert "32 endomorphisms" in err
 
     def test_failed_certificate_exits_3(self, capsys, monkeypatch):
-        # a corrupted witness; trials 0 and 100 are audited if they synchronize
+        # a corrupted reset word; trials 0 and 100 are audited if they synchronize
         from syncmonoid import Endofunction, experiments
 
         monkeypatch.setattr(
-            experiments, "min_rank_witness", lambda gens: ((), Endofunction(range(gens.n)))
+            experiments, "_reset_word", lambda gens: ((), Endofunction(range(gens.n)))
         )
         argv = ["estimate", "--n", "4", "--k", "2", "--trials", "101", "--seed", "77"]
         code, _, err = run(capsys, argv)
         assert code == 3
         assert err.startswith("internal error: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "verdict, generators, message",
+        [
+            # two permutations never synchronize: the audit of trial 0 is stuck
+            (True, ["--perms", "2", "--maps-count", "0"], "never collapsed"),
+            # some trials of two maps synchronize: their stuck set is empty
+            (False, ["--k", "2"], "non-synchronization certificate"),
+        ],
+    )
+    def test_wrong_batched_verdict_exits_3(self, capsys, monkeypatch, verdict, generators,
+                                           message):
+        from syncmonoid import experiments
+
+        monkeypatch.setattr(
+            experiments, "_synchronizing_lanes",
+            lambda n, tables: np.full(tables.shape[0], verdict),
+        )
+        argv = ["estimate", "--n", "4", *generators, "--trials", "50", "--seed", "77"]
+        code, _, err = run(capsys, argv)
+        assert code == 3
+        assert err.startswith("internal error: ") and message in err
         assert "Traceback" not in err
 
     def test_non_positive_n_rejected(self):

@@ -26,6 +26,7 @@ from syncmonoid import (
 )
 from syncmonoid import experiments
 from syncmonoid.cli import main
+from syncmonoid.errors import VerificationError
 from syncmonoid.experiments import (
     _all_pairs_collapsible,
     _count_synchronizing,
@@ -40,8 +41,10 @@ from syncmonoid.experiments import (
     _synchronizing_rows,
     _trial_outcome,
 )
+from syncmonoid.graphs import pair_numbering
 from syncmonoid.rng import Lanes
-from syncmonoid.transform import random_tables
+from syncmonoid.sync import collapsible_pairs
+from syncmonoid.transform import random_tables, rank
 
 from conftest import build_instances
 
@@ -183,9 +186,7 @@ class TestExactByClasses:
         streams = [substream(100 + n, t) for t in range(2000)]
         tables = random_tables(n, r, 2 - r, Lanes(streams))
         targets = _pair_targets(n, tables)  # (rows, 2, pairs)
-        pairs = targets.shape[-1]
-        flat = targets + np.arange(0, 2000 * (pairs + 1), pairs + 1)[:, None, None]
-        decided = _synchronizing_rows([flat[:, 0], flat[:, 1]])
+        decided = _synchronizing_rows([targets[:, 0], targets[:, 1]])
         expected = [
             is_synchronizing(GeneratorSet([Endofunction(row) for row in rows]))
             for rows in tables.tolist()
@@ -207,8 +208,11 @@ class TestExactByClasses:
         assert result.context.startswith("77 conjugacy classes")
         with pytest.raises(ValueError, match="closed form|estimate"):
             exact_sync_probability(8, 0, 2)
-        with pytest.raises(ValueError, match="closed form|estimate"):
-            exact_sync_probability(10**4, 1, 0)
+        # no maps: 0 before the guard, with no class count it never finished
+        result = exact_sync_probability(10**4, 1, 0)
+        assert result.fraction == 0
+        assert "conjugacy classes" not in result.context
+        assert exact_sync_probability(1, 2, 0).fraction == 1
 
 
 class TestEstimate:
@@ -348,6 +352,101 @@ class TestLanePath:
             _trial_outcome(config, substream(config.seed, t))[0] for t in range(config.trials)
         )
         assert estimate_sync_probability(config).successes == successes
+
+
+def _min_max_pair_targets(n, tables):
+    """The pair targets by the min/max/offsets formula that the pair-index
+    table replaced."""
+    pairs, offs = pair_numbering(n)
+    first = np.array([v for v, _ in pairs], dtype=np.int64)
+    second = np.array([w for _, w in pairs], dtype=np.int64)
+    tables = np.asarray(tables)
+    a, b = tables.take(first, axis=-1), tables.take(second, axis=-1)
+    targets = np.array(offs, dtype=np.int64).take(np.minimum(a, b)) + np.maximum(a, b)
+    targets[a == b] = len(pairs)
+    return targets
+
+
+class TestBatchedPairPath:
+    """The batched pair fixpoint of the Monte Carlo blocks against the
+    single-row fixpoint, and the pair-index table against the formula it
+    replaced."""
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 12, 80, 255])
+    @pytest.mark.parametrize("dtype", [np.intp, np.uint8])
+    def test_pair_targets_match_min_max_formula(self, n, dtype):
+        # at n = 80, a * n overflows uint8; the exact path passes uint8 tables
+        tables = random_tables(n, 1, 2, Lanes([substream(n, t) for t in range(20)]))
+        tables = tables.astype(dtype)
+        assert np.array_equal(_pair_targets(n, tables), _min_max_pair_targets(n, tables))
+        one = tables[0, 0]  # one table alone, as the exact path passes a representative
+        assert np.array_equal(_pair_targets(n, one), _min_max_pair_targets(n, one))
+
+    @pytest.mark.parametrize("r, s", [(0, 2), (1, 1), (2, 1), (0, 3)])
+    def test_batched_lanes_equal_single_rows(self, monkeypatch, r, s):
+        verdicts = set()
+        for n in range(1, 13):
+            k, pairs = r + s, n * (n - 1) // 2
+            # batches of 3 rows: 50 lanes split 16 times and leave 2
+            monkeypatch.setattr(experiments, "BATCH_BUDGET", 3 * k * (pairs + 1) + 1)
+            tables = random_tables(n, r, s, Lanes([substream(40 + n, t) for t in range(50)]))
+            decided = experiments._synchronizing_lanes(n, tables).tolist()
+            assert decided == [_all_pairs_collapsible(n, rows) for rows in tables]
+            verdicts.update(decided)
+        assert verdicts == {True, False}
+
+
+def _certificate_corpus():
+    """Generator lists on 1 to 7 points, drawn for several mixes."""
+    for n in range(1, 8):
+        for r, s in [(0, 1), (0, 2), (1, 1), (2, 0), (0, 3), (1, 2)]:
+            config = ExperimentConfig(n, r, s, 1, seed=n)
+            for t in range(12):
+                yield _trial_outcome(config, substream(100 * n + 10 * r + s, t))[1]
+
+
+class TestCertificates:
+    """Both certificates against the witness closure of ``sync``."""
+
+    def test_steps_match_the_closure_and_lead_to_the_merged_state(self):
+        for gens in _certificate_corpus():
+            n, k = gens[0].n, len(gens)
+            steps = experiments._collapse_steps(n, [g.images for g in gens]).tolist()
+            assert [t >= 0 for t in steps] == collapsible_pairs(GeneratorSet(gens)).collapsible
+            pairs, offs = pair_numbering(n)
+            for (v, w), t in zip(pairs, steps):
+                if t >= 0:  # generator t % k merges the pair or sends it to an earlier step
+                    a, b = gens[t % k].images[v], gens[t % k].images[w]
+                    assert a == b or steps[offs[min(a, b)] + max(a, b)] < t
+
+    def test_word_replays_exactly_when_synchronizing(self):
+        verdicts = set()
+        for gens in _certificate_corpus():
+            gen_set = GeneratorSet(gens)
+            sync = is_synchronizing(gen_set)
+            verdicts.add(sync)
+            if sync:
+                word, witness = experiments._reset_word(gen_set)
+                assert rank(witness) == 1 and gen_set.evaluate(word) == witness
+                experiments._audit(gens)
+                with pytest.raises(VerificationError):
+                    experiments._check_stuck(gens)
+            else:
+                with pytest.raises(VerificationError, match="never collapsed"):
+                    experiments._audit(gens)
+                experiments._check_stuck(gens)
+        assert verdicts == {True, False}
+
+    def test_every_non_synchronizing_pair_trial_is_checked(self, monkeypatch):
+        checked = []
+        monkeypatch.setattr(experiments, "_check_stuck", lambda gens: checked.append(gens))
+        _flaky_randbelow(monkeypatch)  # rejected lanes included
+        config = ExperimentConfig(5, 1, 1, 300, seed=12)
+        est = estimate_sync_probability(config)
+        outcomes = [_trial_outcome(config, substream(config.seed, t)) for t in range(300)]
+        expected = [[g.images for g in gens] for ok, gens in outcomes if not ok]
+        assert [[g.images for g in gens] for gens in checked] == expected
+        assert est.successes == config.trials - len(expected)
 
 
 class TestEdgeGraphExperiment:
