@@ -11,11 +11,17 @@ Trials run in blocks: one ``rng.Lanes`` lane per trial draws the generators
 of the whole block at once (``transform.random_tables``).  A lane that hit
 a rejected draw is redone from its untouched stream by ``_trial_outcome``,
 the scalar path, which is also the oracle for the lanes.  A single map is
-decided for the whole block by repeated squaring; other mixes go through
-the pair fixpoint in numpy batches of ``BATCH_BUDGET`` pair targets, many
-lanes to a call.  Their verdicts are certified from the generators alone
-by a step-by-step fixpoint on one trial: 1% of the synchronizing trials
-replay a reset word built from it, and every trial judged not synchronizing
+decided for the whole block by repeated squaring.  A mix with a map f is
+first filtered on the periodic points C of f, the image of a power f^J:
+maps "w then f^J", w a short word, lie in the monoid and map every point
+into C, and if a product of them is constant on C, then f^J followed by it
+is constant.  So the filter accepts only synchronizing lanes, most of them
+at a fixpoint over |C|(|C|-1)/2 pairs instead of n(n-1)/2.  The lanes it
+leaves, and every mix without a map, go through the full pair fixpoint in
+numpy batches of ``BATCH_BUDGET`` pair targets, many lanes to a call.
+Either way, verdicts are certified from the generators alone by a
+step-by-step fixpoint on one trial: 1% of the synchronizing trials replay
+a reset word built from it, and every trial judged not synchronizing
 shows a nonempty set of pairs that no generator merges or leaves.
 
 Exact probabilities count up to conjugacy: the first generator runs over
@@ -180,7 +186,9 @@ def _synchronizing_rows(targets) -> np.ndarray:
 
 def _synchronizing_lanes(n: int, tables) -> np.ndarray:
     """Which lanes of a block of image tables (lanes, k, n) synchronize,
-    ``_batch_rows(n, k)`` lanes to a fixpoint call."""
+    ``_batch_rows(n, k)`` lanes to a fixpoint call.  The full decision for
+    the lanes that ``_synchronizing_on_cycles`` leaves, and that filter's
+    own decision on the periodic points of each lane group."""
     rows = _batch_rows(n, tables.shape[1])
     return np.concatenate([
         _synchronizing_rows(list(_pair_targets(n, tables[lo : lo + rows]).swapaxes(0, 1)))
@@ -252,16 +260,74 @@ def _reset_word(gen_set: GeneratorSet) -> tuple[Word, Endofunction]:
     return tuple(word), Endofunction(current)
 
 
-def _single_map_synchronizes(maps):
-    """Rows of ``maps`` (lanes, n) whose map has one periodic point, i.e.
-    some power of it is constant: squaring ceil(log2 n) times gives a power
-    of at least n - 1, past every tail, which is constant exactly then."""
+def _cycle_power(maps) -> np.ndarray:
+    """f^J for each row f of ``maps`` (lanes, n), J = 2^max(1, bitlen(n - 1))
+    >= n - 1 by repeated squaring: past every tail, so the image of f^J is
+    the set of periodic points of f, on which f^J is a permutation."""
     lanes, n = maps.shape
+    base = np.arange(0, lanes * n, n)[:, None]
     # one map on lanes * n points, so that a square is a single np.take
-    flat = maps + np.arange(0, lanes * n, n)[:, None]
+    flat = maps + base
     for _ in range(max(1, (n - 1).bit_length())):
         flat = np.take(flat, flat)
-    return (flat == flat[:, :1]).all(axis=1)
+    return flat - base
+
+
+def _single_map_synchronizes(maps):
+    """Rows of ``maps`` (lanes, n) whose map has one periodic point, i.e.
+    whose ``_cycle_power`` is constant."""
+    power = _cycle_power(maps)
+    return (power == power[:, :1]).all(axis=1)
+
+
+def _synchronizing_on_cycles(tables, r: int) -> np.ndarray:
+    """A sound filter for a block of image tables (lanes, k, n) whose
+    generator r is a map f: True for lanes shown synchronizing on the
+    periodic points C of f, False for lanes left undecided.
+
+    For each word w of W (the k generators and the products "g_i then g_j"
+    with j - i in {-1, 0, 1} mod k), "w then f^J" is in the monoid and maps
+    every point into C.  Restricted to C and relabeled by rank in C, these
+    maps are decided by ``_synchronizing_lanes`` on |C| points, one call
+    per lane group of equal |C|.  A product u of them constant on C makes
+    "f^J then u" constant, so True is always right; False says nothing."""
+    lanes, k, n = tables.shape
+    power = _cycle_power(tables[:, r])
+    periodic = np.zeros((lanes, n), dtype=bool)
+    np.put_along_axis(periodic, power, True, axis=1)
+    # lanes by |C|, so that each group's periodic points are one run of (lane, point)
+    sizes = np.count_nonzero(periodic, axis=1)
+    order = np.argsort(sizes, kind="stable")
+    lane, point = np.nonzero(periodic[order])
+    lane = order[lane]
+    # word values at the points of C, then f^J, then the rank in C
+    gi, gj = np.array(sorted({(i, (i + d) % k) for i in range(k) for d in (-1, 0, 1)})).T
+    once = tables[lane, :, point].T  # (k, points)
+    words = np.concatenate([once, tables[lane, gj[:, None], once[gi]]])
+    code = np.take_along_axis(np.cumsum(periodic, axis=1) - 1, power, axis=1)
+    words = code[lane, words]
+    sync = sizes == 1
+    sizes = sizes[order]
+    offsets = np.cumsum(sizes) - sizes  # where each sorted lane's points start
+    groups = np.unique(sizes, return_index=True, return_counts=True)
+    for c, start, count in zip(*(g.tolist() for g in groups)):
+        if c > 1:
+            lo = offsets[start]
+            group = words[:, lo : lo + count * c].reshape(-1, count, c).swapaxes(0, 1)
+            sync[order[start : start + count]] = _synchronizing_lanes(c, group)
+    return sync
+
+
+def _pair_mix_lanes(tables, r: int) -> np.ndarray:
+    """Which lanes of a block of image tables (lanes, k, n) synchronize:
+    the lanes that ``_synchronizing_on_cycles`` accepts, when generator r is
+    a map, and all others through the full fixpoint ``_synchronizing_lanes``."""
+    lanes, k, n = tables.shape
+    sync = _synchronizing_on_cycles(tables, r) if r < k else np.zeros(lanes, dtype=bool)
+    rest = np.flatnonzero(~sync)
+    if rest.size:
+        sync[rest] = _synchronizing_lanes(n, tables[rest])
+    return sync
 
 
 def _lane_blocks(n: int, r: int, s: int, seed: int, lo: int, hi: int):
@@ -300,17 +366,16 @@ def _check_stuck(gens: list) -> None:
     """Certify a trial flagged not synchronizing.  The pairs that
     ``_collapse_steps`` never collapsed must form a nonempty set that no
     generator merges a pair of or maps a pair out of, so that no word
-    merges any of them; checked on the image tables alone."""
+    merges any of them; checked on the image tables alone, with an n x n
+    stuck matrix whose diagonal (a merged pair) stays False."""
     n = gens[0].n
     first, second, _ = _pair_arrays(n)
-    never = _collapse_steps(n, [g.images for g in gens]) < 0
-    stuck = set(zip(first[never].tolist(), second[never].tolist()))
-    closed = bool(stuck) and all(
-        (g.images[v], g.images[w]) in stuck or (g.images[w], g.images[v]) in stuck
-        for g in gens
-        for v, w in stuck
-    )
-    if not closed:
+    images = np.array([g.images for g in gens], dtype=np.intp)
+    never = _collapse_steps(n, images) < 0
+    v, w = first[never], second[never]
+    stuck = np.zeros((n, n), dtype=bool)
+    stuck[v, w] = stuck[w, v] = True
+    if not (never.any() and stuck[images[:, v], images[:, w]].all()):
         raise VerificationError("non-synchronization certificate check failed")
 
 
@@ -322,7 +387,7 @@ def _run_chunk(args) -> int:
         if (r, s) == (0, 1):
             sync = _single_map_synchronizes(tables[:, 0]) & ~rejected
         else:
-            sync = _synchronizing_lanes(n, tables) & ~rejected
+            sync = _pair_mix_lanes(tables, r) & ~rejected
         redone = {}
         for i in np.flatnonzero(rejected).tolist():
             sync[i], redone[i] = _trial_outcome(config, streams[i])

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -542,9 +543,12 @@ def _orbit(n: int, value: int) -> np.ndarray:
     return (value >> maps & 1) @ weights
 
 
-def canonical_form(x: SimpleGraph) -> int:
+def canonical_form(x: SimpleGraph, cap: int = 10**6) -> int:
     """Lexicographically least adjacency bitstring over all vertex
-    relabelings.  Brute force over n! permutations; meant for n <= 8."""
+    relabelings.  Brute force over n! permutations, so n! > ``cap``
+    (n >= 10 at the default) raises CapExceeded before any is built."""
+    if math.factorial(x.n) > cap:
+        raise CapExceeded("canonical form needs more than cap relabelings", cap + 1)
     return int(_orbit(x.n, adjacency_bits(x)).min())
 
 

@@ -317,6 +317,21 @@ class TestErrorHandling:
         assert err.startswith("internal error: ") and message in err
         assert "Traceback" not in err
 
+    def test_unsound_cycle_filter_exits_3(self, capsys, monkeypatch):
+        # trial 0 of seed 1 does not synchronize, and trial 0 is always audited
+        from syncmonoid import experiments
+
+        monkeypatch.setattr(
+            experiments, "_synchronizing_on_cycles",
+            lambda tables, r: np.ones(tables.shape[0], dtype=bool),
+        )
+        argv = ["estimate", "--n", "2", "--perms", "1", "--maps-count", "1", "--trials", "20",
+                "--seed", "1"]
+        code, _, err = run(capsys, argv)
+        assert code == 3
+        assert err.startswith("internal error: ") and "never collapsed" in err
+        assert "Traceback" not in err
+
     def test_non_positive_n_rejected(self):
         with pytest.raises(SystemExit) as exc:
             main(["estimate", "--n", "0", "--k", "1", "--trials", "5", "--seed", "1"])

@@ -43,8 +43,8 @@ from syncmonoid.experiments import (
 )
 from syncmonoid.graphs import pair_numbering
 from syncmonoid.rng import Lanes
-from syncmonoid.sync import collapsible_pairs
-from syncmonoid.transform import random_tables, rank
+from syncmonoid.sync import collapsible_pairs, monoid_closure
+from syncmonoid.transform import periodicity, random_tables, rank
 
 from conftest import build_instances
 
@@ -395,6 +395,43 @@ class TestBatchedPairPath:
             verdicts.update(decided)
         assert verdicts == {True, False}
 
+    def test_cycle_filter_is_sound_and_the_fallback_completes_it(self, monkeypatch):
+        seen = set()  # (|C| == 1, filter verdict, full verdict)
+        for r, s in FILTER_MIXES:
+            k = r + s
+            for n in range(1, 13):
+                # small batches, so that a group of equal |C| spans several calls
+                monkeypatch.setattr(experiments, "BATCH_BUDGET", 7 * k * (n + 1))
+                tables = random_tables(n, r, s, Lanes([substream(60 + n, t) for t in range(50)]))
+                accepted = experiments._synchronizing_on_cycles(tables, r).tolist()
+                decided = experiments._pair_mix_lanes(tables, r).tolist()
+                full = [_all_pairs_collapsible(n, rows) for rows in tables]
+                assert decided == full
+                for rows, ok, sync in zip(tables, accepted, full):
+                    assert sync or not ok  # the filter accepts only synchronizing lanes
+                    single = len(periodicity(Endofunction(rows[r].tolist())).periodic_points) == 1
+                    seen.add((single, ok, sync))
+        # |C| = 1 is accepted outright; larger C is accepted or declined, and a
+        # declined lane is found synchronizing by the fallback or not at all
+        assert seen == {(True, True, True), (False, True, True), (False, False, True),
+                        (False, False, False)}
+
+    @pytest.mark.parametrize("n", range(1, 41))
+    def test_cycle_power_image_is_the_periodic_points(self, n):
+        maps = random_tables(n, 0, 1, Lanes([substream(80 + n, t) for t in range(16)]))[:, 0]
+        power = experiments._cycle_power(maps)
+        exponent = 2 ** max(1, (n - 1).bit_length())
+        assert exponent >= n - 1
+        for f, p in zip(maps.tolist(), power.tolist()):
+            x = list(range(n))
+            for _ in range(exponent):
+                x = [f[v] for v in x]
+            assert p == x
+            assert set(p) == periodicity(Endofunction(f)).periodic_points
+
+
+FILTER_MIXES = [(0, 2), (1, 1), (2, 1), (1, 2), (0, 3), (0, 5)]  # (0, 5): W smaller than G^2
+
 
 def _certificate_corpus():
     """Generator lists on 1 to 7 points, drawn for several mixes."""
@@ -447,6 +484,44 @@ class TestCertificates:
         expected = [[g.images for g in gens] for ok, gens in outcomes if not ok]
         assert [[g.images for g in gens] for gens in checked] == expected
         assert est.successes == config.trials - len(expected)
+
+
+    def test_stuck_check_rejects_a_collapsible_pair(self, monkeypatch):
+        steps = experiments._collapse_steps
+        tested = 0
+        for gens in _certificate_corpus():
+            real = steps(gens[0].n, [g.images for g in gens])
+            if not (real >= 0).any():
+                continue
+            marked = real.copy()
+            marked[np.flatnonzero(real >= 0)[-1]] = -1  # one collapsible pair, never collapsed
+            monkeypatch.setattr(experiments, "_collapse_steps", lambda n, images: marked)
+            with pytest.raises(VerificationError, match="non-synchronization certificate"):
+                experiments._check_stuck(gens)
+            tested += 1
+        assert tested
+
+
+class TestClosureCorpus:
+    """The lane decision, the scalar fixpoint and the monoid closure agree."""
+
+    def test_lane_decision_matches_the_closure(self):
+        verdicts = set()
+        for r, s in FILTER_MIXES:
+            for n in range(1, 7):
+                config = ExperimentConfig(n, r, s, 1, seed=n)
+                drawn = [
+                    _trial_outcome(config, substream(1000 * n + 10 * r + s, t))[1]
+                    for t in range(10)
+                ]
+                tables = np.array([[g.images for g in gens] for gens in drawn], dtype=np.intp)
+                decided = experiments._pair_mix_lanes(tables, r).tolist()
+                for gens, sync in zip(drawn, decided):
+                    closure = monoid_closure(GeneratorSet(gens))
+                    assert sync == _all_pairs_collapsible(n, [g.images for g in gens])
+                    assert sync == (min(rank(m) for m in closure) == 1)
+                    verdicts.add(sync)
+        assert verdicts == {True, False}
 
 
 class TestEdgeGraphExperiment:

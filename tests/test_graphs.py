@@ -29,6 +29,7 @@ from syncmonoid import (
     separation_graph,
     substream,
 )
+from syncmonoid import graphs
 from syncmonoid.graphs import edges_from_bits, graph_classes, pair_numbering
 
 
@@ -427,6 +428,20 @@ class TestEnumeration:
     def test_canonical_form_matches_relabeling_oracle_n5_stride(self):
         for g in itertools.islice(enumerate_graphs(5), 0, None, 7):
             assert canonical_form(g) == self.relabeled_minimum(g)
+
+    @pytest.mark.parametrize("n, cap", [(10, 10**6), (5, 100)])
+    def test_canonical_form_cap_raises_before_relabeling(self, monkeypatch, n, cap):
+        def refuse(n):
+            raise AssertionError("relabelings built past the cap")
+
+        monkeypatch.setattr(graphs, "_relabelings", refuse)
+        with pytest.raises(CapExceeded, match="canonical form needs more than cap") as exc:
+            canonical_form(SimpleGraph.from_edges(n, [(0, 1)]), cap=cap)
+        assert exc.value.partial == cap + 1
+
+    def test_canonical_form_cap_admits_exactly_n_factorial(self):
+        g = SimpleGraph.from_edges(5, [(0, 3), (3, 4)])
+        assert canonical_form(g, cap=120) == canonical_form(g) == self.relabeled_minimum(g)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_pair_numbering_index_is_position(self, n):
