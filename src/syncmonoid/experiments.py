@@ -24,12 +24,11 @@ step-by-step fixpoint on one trial: 1% of the synchronizing trials replay
 a reset word built from it, and every trial judged not synchronizing
 shows a nonempty set of pairs that no generator merges or leaves.
 
-Exact probabilities count up to conjugacy: the first generator runs over
-one representative per conjugacy class of S_n (a cycle type) or of T_n,
-weighted by the class size, and the tuples of the other generators run in
-numpy batches through the same pair fixpoint, one row per tuple.  The
-brute-force loop over every tuple, ``_exact_by_enumeration``, is its
-oracle.
+Exact probabilities count up to conjugacy: the first map runs over one
+representative per conjugacy class of T_n, weighted by the class size, and
+the tuples of the other generators run in numpy batches through the same
+pair fixpoint, one row per tuple.  The brute-force loop over every tuple,
+``_exact_by_enumeration``, is its oracle.
 """
 
 from __future__ import annotations
@@ -59,7 +58,6 @@ from .graphs import (  # bench/tracing.py hooks several of these names here
     hull,
     is_maximal_given,
     is_maximal_nonsynchronizing,
-    pair_numbering,
 )
 from .rng import Lanes, derive_seed, substream
 from .stats import EstimateWithCI, make_estimate
@@ -130,14 +128,14 @@ class ExactResult:
 
 @functools.lru_cache(maxsize=None)
 def _pair_arrays(n: int):
-    """``pair_numbering(n)`` as read-only intp arrays: first points, second
-    points, and the flat n*n pair-index table whose entry a*n + b is the
+    """``graphs.pair_numbering(n)`` as read-only intp arrays: first points,
+    second points (the upper triangle row by row, the same lexicographic
+    order), and the flat n*n pair-index table whose entry a*n + b is the
     index of pair {a, b}, or the number of pairs (the merged state) when
     a == b."""
-    pairs, _ = pair_numbering(n)
-    first, second = np.array(pairs, dtype=np.intp).reshape(-1, 2).T.copy()
-    index = np.full((n, n), len(pairs), dtype=np.intp)
-    index[first, second] = index[second, first] = np.arange(len(pairs))
+    first, second = np.triu_indices(n, 1)
+    index = np.full((n, n), first.size, dtype=np.intp)
+    index[first, second] = index[second, first] = np.arange(first.size)
     arrays = (first, second, index.reshape(-1))
     for a in arrays:
         a.flags.writeable = False
@@ -434,17 +432,19 @@ def estimate_sync_probability(config: ExperimentConfig, threads: int = 1) -> Est
 # ---------------------------------------------------------------------------
 # exact probabilities, counted up to conjugacy
 
-ENUMERATION_GUARD = 10**8  # first-generator classes times tuples of the others
+ENUMERATION_GUARD = 10**8  # table entries of T_n; first-map classes times tuples of the others
 
 
-def _partitions(n: int, largest: int | None = None):
-    """The partitions of n, parts in nonincreasing order."""
-    if n == 0:
-        yield ()
-        return
-    for part in range(min(n, largest or n), 0, -1):
-        for rest in _partitions(n - part, part):
-            yield (part,) + rest
+def _within_guard(factors) -> bool:
+    """Whether the product of the positive integers ``factors`` is at most
+    ``ENUMERATION_GUARD``, multiplying only while it is: no integer past
+    the guard is ever formed."""
+    product = 1
+    for factor in factors:
+        if product > ENUMERATION_GUARD // factor:
+            return False
+        product *= factor
+    return True
 
 
 def _partition_count(n: int, limit: int) -> int:
@@ -461,21 +461,6 @@ def _partition_count(n: int, limit: int) -> int:
     return p[-1]
 
 
-def _permutation_classes(n: int):
-    """One permutation per cycle type, the cycles on consecutive points,
-    with its class size n!/z_lambda; yielded one at a time."""
-    for cycle_type in _partitions(n):
-        images, z = [], 1
-        for length in cycle_type:
-            start = len(images)
-            images += range(start + 1, start + length)
-            images.append(start)
-        for length in set(cycle_type):
-            mult = cycle_type.count(length)
-            z *= length**mult * math.factorial(mult)
-        yield images, math.factorial(n) // z
-
-
 def _map_table(n: int) -> np.ndarray:
     """All n^n maps as uint8 rows, in the lexicographic order of
     ``itertools.product(range(n), repeat=n)``."""
@@ -485,13 +470,13 @@ def _map_table(n: int) -> np.ndarray:
     return grid.reshape(-1, n)
 
 
-def _map_classes(n: int):
+def _map_classes(table: np.ndarray):
     """One map per conjugacy class of T_n (the lexicographically least),
-    with its class size.  (0 1) and (0 1 ... n-1)
+    with its class size, from ``_map_table(n)``.  (0 1) and (0 1 ... n-1)
     generate S_n, so the classes are the orbits of the two index maps
     "conjugate by" them; each orbit takes its least index, propagated along
     both maps with pointer jumping until nothing changes."""
-    table = _map_table(n)
+    n = table.shape[1]
     powers = n ** np.arange(n - 1, -1, -1)
     swap = np.arange(n)
     swap[:2] = swap[1::-1]
@@ -553,10 +538,14 @@ def exact_sync_probability(n: int, r: int, s: int) -> ExactResult:
     context names the number of cycle types only when it was counted.
 
     Everything else counts up to conjugacy: conjugating every generator by
-    the same permutation keeps synchronization and permutes S_n and T_n.
-    So the first generator runs over one representative per conjugacy
-    class, weighted by the class size, and the other generators over all of
-    their pools, in numpy batches through the pair fixpoint."""
+    the same permutation keeps synchronization and permutes S_n and T_n,
+    and the order of the generators does not matter.  So the first map
+    runs over one representative per conjugacy class of T_n, weighted by
+    the class size, and the permutations and the other maps over all of
+    their pools, in numpy batches through the pair fixpoint.  The guard
+    first refuses a table of T_n of more than ``ENUMERATION_GUARD`` entries,
+    before n! or n^n is formed, and then more rows than that, counting the
+    classes by the lower bound ceil(n^n / n!)."""
     if n < 1 or r < 0 or s < 0 or r + s < 1:
         raise ValueError("need n >= 1 and at least one generator")
     if r == 0 and s == 1:
@@ -569,31 +558,34 @@ def exact_sync_probability(n: int, r: int, s: int) -> ExactResult:
         if classes <= ENUMERATION_GUARD:  # else the count stopped short of p(n)
             note = f"{classes} conjugacy classes of the first generator, none walked: {note}"
         return ExactResult.from_fraction(Fraction(0), note)
-    perms, maps = math.factorial(n), n**n
-    rest = perms ** max(r - 1, 0) * maps ** (s - (r == 0))
-    if r:
-        classes = _partition_count(n, ENUMERATION_GUARD)
-    else:
+    # the table bounds n (n <= 7), so n! and n^n are small once it fits
+    fits = _within_guard(itertools.repeat(n, n + 1))
+    if fits:
+        perms, maps = math.factorial(n), n**n
         classes = -(-maps // perms)  # a lower bound, known before T_n is built
-    if classes * rest > ENUMERATION_GUARD:
-        raise ValueError(
-            f"more than {ENUMERATION_GUARD} first-generator classes times tuples of the "
-            "others is too many to enumerate; use the (r,s)=(0,1) closed form or "
-            "estimate_sync_probability"
+        fits = _within_guard(
+            itertools.chain([classes], itertools.repeat(perms, r), itertools.repeat(maps, s - 1))
         )
-    first = _permutation_classes(n) if r else _map_classes(n)
-    classes = classes if r else len(first)
+    if not fits:
+        raise ValueError(
+            f"more than {ENUMERATION_GUARD} entries in the table of T_{n}, or first-map "
+            "classes times tuples of the others, is too many to enumerate; use the "
+            "(r,s)=(0,1) closed form or estimate_sync_probability"
+        )
+    table = _map_table(n)
+    first = _map_classes(table)
     pools = []
-    if r > 1:
+    if r:
         permutations = np.array(list(itertools.permutations(range(n))), dtype=np.uint8)
-        pools += [_pool_targets(n, permutations)] * (r - 1)
-    if s > (r == 0):
-        pools += [_pool_targets(n, _map_table(n))] * (s - (r == 0))
+        pools += [_pool_targets(n, permutations)] * r
+    if s > 1:
+        pools += [_pool_targets(n, table)] * (s - 1)
+    rest = perms**r * maps ** (s - 1)
     rows = _batch_rows(n, r + s)
     count = _count_synchronizing(n, first, pools, rows)
     return ExactResult.from_fraction(
         Fraction(count, perms**r * maps**s),
-        f"{classes} conjugacy classes of the first generator, each against "
+        f"{len(first)} conjugacy classes of the first map, each against "
         f"{rest} tuples of the other generators in batches of {min(rows, rest)} "
         f"(r={r}, s={s})",
     )

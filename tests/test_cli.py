@@ -134,6 +134,18 @@ class TestExperimentsCommands:
         assert out == ""
         assert "closed form" in err and "estimate" in err
 
+    @pytest.mark.parametrize("perms, maps", [("1", "1"), ("0", "2")])
+    def test_exact_refuses_huge_n_before_big_integers(self, capsys, perms, maps):
+        # n! and n^n at n = 10^6 take seconds; the table check comes first
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, ["exact", "--n", "1000000", "--perms", perms, "--maps-count", maps]
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert out == ""
+        assert "table of T_1000000" in err and "Traceback" not in err
+
     def test_exact_one_permutation_twelve_points(self, capsys):
         code, out, err = run(capsys, ["exact", "--n", "12", "--perms", "1", "--maps-count", "0"])
         assert code == 0

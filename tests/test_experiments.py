@@ -34,16 +34,21 @@ from syncmonoid.experiments import (
     _graph_record,
     _map_classes,
     _map_table,
+    _pair_arrays,
     _pair_targets,
     _partition_count,
-    _permutation_classes,
     _pool_targets,
     _synchronizing_rows,
     _trial_outcome,
 )
 from syncmonoid.graphs import pair_numbering
 from syncmonoid.rng import Lanes
-from syncmonoid.sync import collapsible_pairs, monoid_closure
+from syncmonoid.sync import (
+    collapsible_pairs,
+    monoid_closure,
+    separation_graph,
+    separation_graph_of_elements,
+)
 from syncmonoid.transform import periodicity, random_tables, rank
 
 from conftest import build_instances
@@ -124,7 +129,7 @@ class TestExactByClasses:
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_map_classes(self, n):
-        reps, sizes = zip(*_map_classes(n))
+        reps, sizes = zip(*_map_classes(_map_table(n)))
         assert len(sizes) == A001372[n - 1]
         assert sum(sizes) == n**n
         assert all(math.factorial(n) % size == 0 for size in sizes)
@@ -132,11 +137,7 @@ class TestExactByClasses:
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_permutation_classes(self, n):
-        reps, sizes = zip(*_permutation_classes(n))
-        assert len(sizes) == _partition_count(n, 10**8) == A000041[n - 1]
-        assert sum(sizes) == math.factorial(n)
-        assert all(math.factorial(n) % size == 0 for size in sizes)
-        assert all(sorted(rep) == list(range(n)) for rep in reps)
+        assert _partition_count(n, 10**8) == A000041[n - 1]
 
     def test_class_sizes_by_brute_force(self):
         # every map of T_4 conjugated by every permutation of S_4
@@ -148,7 +149,8 @@ class TestExactByClasses:
                 tuple(sigma[f[sigma.index(v)]] for v in range(n)) for sigma in perms
             )
             orbits[min(orbit)] = len(orbit)
-        assert {tuple(rep.tolist()): size for rep, size in _map_classes(n)} == orbits
+        classes = _map_classes(_map_table(n))
+        assert {tuple(rep.tolist()): size for rep, size in classes} == orbits
 
     def test_map_table_order(self):
         for n in range(1, 6):
@@ -168,6 +170,16 @@ class TestExactByClasses:
     )
     def test_against_enumeration(self, n, r, s):
         assert exact_sync_probability(n, r, s).fraction == _exact_by_enumeration(n, r, s)
+
+    @pytest.mark.parametrize(
+        "n, r, s, expected",
+        [(6, 1, 1, Fraction(3065, 3888)), (5, 2, 1, Fraction(86567, 93750)),
+         (7, 1, 1, Fraction(698375, 823543))],
+    )
+    def test_values_once_counted_by_cycle_type(self, n, r, s, expected):
+        # checked independently, with one permutation per cycle type as the
+        # class representative
+        assert exact_sync_probability(n, r, s).fraction == expected
 
     @pytest.mark.parametrize("r", [1, 0])
     def test_class_reduction_at_four_points_three_generators(self, r):
@@ -369,8 +381,19 @@ def _min_max_pair_targets(n, tables):
 
 class TestBatchedPairPath:
     """The batched pair fixpoint of the Monte Carlo blocks against the
-    single-row fixpoint, and the pair-index table against the formula it
-    replaced."""
+    single-row fixpoint, and the pair arrays against ``pair_numbering`` and
+    the formula they replaced."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_pair_arrays_follow_pair_numbering(self, n):
+        first, second, index = _pair_arrays(n)
+        pairs, _ = pair_numbering(n)
+        assert list(zip(first.tolist(), second.tolist())) == list(pairs)
+        table = index.reshape(n, n)
+        for p, (v, w) in enumerate(pairs):
+            assert table[v, w] == table[w, v] == p
+        assert (np.diagonal(table) == len(pairs)).all()
+        assert not any(a.flags.writeable for a in (first, second, index))
 
     @pytest.mark.parametrize("n", [1, 2, 5, 12, 80, 255])
     @pytest.mark.parametrize("dtype", [np.intp, np.uint8])
@@ -520,6 +543,9 @@ class TestClosureCorpus:
                     closure = monoid_closure(GeneratorSet(gens))
                     assert sync == _all_pairs_collapsible(n, [g.images for g in gens])
                     assert sync == (min(rank(m) for m in closure) == 1)
+                    assert separation_graph(GeneratorSet(gens)) == separation_graph_of_elements(
+                        closure
+                    )
                     verdicts.add(sync)
         assert verdicts == {True, False}
 
