@@ -70,8 +70,11 @@ def _int_list(text: str) -> list[int]:
     return values
 
 
+_ENCODER = json.JSONEncoder(sort_keys=True)  # what json.dumps(obj, sort_keys=True) builds per call
+
+
 def _emit(args, obj) -> None:
-    args.sink.write(json.dumps(obj, sort_keys=True) + "\n")
+    args.sink.write(_ENCODER.encode(obj) + "\n")
 
 
 def _note(message: str) -> None:

@@ -52,7 +52,7 @@ from .graphs import (  # bench/tracing.py hooks several of these names here
     derived_graph,
     edges_from_bits,
     endomorphism_count,
-    endomorphism_set,
+    endomorphism_pass,
     enumerate_graphs,
     graph_classes,
     hull,
@@ -544,8 +544,9 @@ def exact_sync_probability(n: int, r: int, s: int) -> ExactResult:
     the class size, and the permutations and the other maps over all of
     their pools, in numpy batches through the pair fixpoint.  The guard
     first refuses a table of T_n of more than ``ENUMERATION_GUARD`` entries,
-    before n! or n^n is formed, and then more rows than that, counting the
-    classes by the lower bound ceil(n^n / n!)."""
+    before n! or n^n is formed, and then more rows than that: first with
+    the classes counted by the lower bound ceil(n^n / n!), and again with
+    their real number once they are found, before any pool is built."""
     if n < 1 or r < 0 or s < 0 or r + s < 1:
         raise ValueError("need n >= 1 and at least one generator")
     if r == 0 and s == 1:
@@ -558,22 +559,26 @@ def exact_sync_probability(n: int, r: int, s: int) -> ExactResult:
         if classes <= ENUMERATION_GUARD:  # else the count stopped short of p(n)
             note = f"{classes} conjugacy classes of the first generator, none walked: {note}"
         return ExactResult.from_fraction(Fraction(0), note)
+    refusal = ValueError(
+        f"more than {ENUMERATION_GUARD} entries in the table of T_{n}, or first-map "
+        "classes times tuples of the others, is too many to enumerate; use the "
+        "(r,s)=(0,1) closed form or estimate_sync_probability"
+    )
     # the table bounds n (n <= 7), so n! and n^n are small once it fits
-    fits = _within_guard(itertools.repeat(n, n + 1))
-    if fits:
-        perms, maps = math.factorial(n), n**n
-        classes = -(-maps // perms)  # a lower bound, known before T_n is built
-        fits = _within_guard(
-            itertools.chain([classes], itertools.repeat(perms, r), itertools.repeat(maps, s - 1))
-        )
-    if not fits:
-        raise ValueError(
-            f"more than {ENUMERATION_GUARD} entries in the table of T_{n}, or first-map "
-            "classes times tuples of the others, is too many to enumerate; use the "
-            "(r,s)=(0,1) closed form or estimate_sync_probability"
-        )
+    if not _within_guard(itertools.repeat(n, n + 1)):
+        raise refusal
+    perms, maps = math.factorial(n), n**n
+
+    def walk_fits(classes: int) -> bool:
+        others = itertools.chain(itertools.repeat(perms, r), itertools.repeat(maps, s - 1))
+        return _within_guard(itertools.chain([classes], others))
+
+    if not walk_fits(-(-maps // perms)):  # a lower bound, known before T_n is built
+        raise refusal
     table = _map_table(n)
     first = _map_classes(table)
+    if not walk_fits(len(first)):
+        raise refusal
     pools = []
     if r:
         permutations = np.array(list(itertools.permutations(range(n))), dtype=np.uint8)
@@ -707,9 +712,13 @@ def explore_maximal_nonsync(
 def _graph_record(x: SimpleGraph, end_cap: int) -> dict:
     """The explorer's record of one graph without its ``canonical`` and
     ``edges`` fields.  Every field in it is an isomorphism invariant, skip
-    notes included: each cap reports the count cap + 1 at which it stopped."""
+    notes included: each cap reports the count cap + 1 at which it stopped.
+
+    One uncapped pass over End(x) gives the hull, |End(x)| and the orbits
+    of the maximality test; ``end_cap`` only decides the skip notes."""
     n = x.n
-    cond = check_maximality_conditions(x)
+    ends = endomorphism_pass(x)
+    cond = check_maximality_conditions(x, own_hull=ends.hull == x)
     record = {
         "n": n,
         "null": x.is_null(),
@@ -726,31 +735,40 @@ def _graph_record(x: SimpleGraph, end_cap: int) -> dict:
         "skips": [],
     }
     if cond.passes:
-        try:
-            endos = endomorphism_set(x, cap=end_cap)
-        except CapExceeded as exc:  # the count and the verdict both need End(x)
+        if ends.count > end_cap:  # the count and the verdict both need End(x)
+            exc = CapExceeded("endomorphism enumeration exceeded cap", end_cap + 1)
             record["skips"].append(f"end_count: {exc}")
             if n <= MAXIMALITY_MAX_N:
                 record["skips"].append(f"maximal: {exc}")
         else:
-            record["end_count"] = str(len(endos))
+            record["end_count"] = str(ends.count)
             if n <= MAXIMALITY_MAX_N:
                 try:
-                    record["maximal"] = is_maximal_given(x, endos, cap=end_cap)
+                    record["maximal"] = is_maximal_given(x, ends.orbits, cap=end_cap)
                 except CapExceeded as exc:
                     record["skips"].append(f"maximal: {exc}")
     y = derived_graph(x)
     if y != x:
+        # The cheap tests first, then hull(y) from one pass over End(y), and
+        # the two End counts last.  hull(y) == x needs x to be its own hull:
+        # no endomorphism of y sends a pair it never merges to one it merges,
+        # so End(y) lies inside End(hull(y)) = End(x); End(x) lies inside
+        # End(y), as it maps maximum cliques onto maximum cliques; so End(x)
+        # = End(y) and hull(x) = hull(y) = x.
         record["derived_differs"] = True
-        try:
-            record["distinct_pair_candidate"] = (
-                endomorphism_count(x, cap=end_cap)
-                == endomorphism_count(y, cap=end_cap)
-                and clique_number(y) == cond.omega == cond.chi == chromatic_number(y)
-                and hull(y) == x
-            )
-        except CapExceeded as exc:
-            record["skips"].append(f"distinct_pair_candidate: {exc}")
+        candidate = cond.is_hull and (
+            clique_number(y) == cond.omega == cond.chi == chromatic_number(y)
+        )
+        if candidate:
+            y_ends = endomorphism_pass(y)
+            candidate = y_ends.hull == x
+            if candidate and max(ends.count, y_ends.count) > end_cap:
+                exc = CapExceeded("endomorphism count exceeded cap", end_cap + 1)
+                record["skips"].append(f"distinct_pair_candidate: {exc}")
+                candidate = None
+            elif candidate:
+                candidate = ends.count == y_ends.count
+        record["distinct_pair_candidate"] = candidate
     return record
 
 

@@ -2,9 +2,16 @@
 
 Vertices are 0..n-1; adjacency is one bitmask per vertex.  Everything here
 is exact and deterministic: branch-and-bound cliques, DSATUR backtracking
-coloring, a CSP for graph endomorphisms, hulls, derived graphs, a
-maximality test for End(x) that searches graphs with a larger End, and a
-walk over all graphs on n vertices that marks each isomorphism class once.
+coloring, graph endomorphisms, hulls, derived graphs, a maximality test for
+End(x) that searches graphs with a larger End, and a walk over all graphs
+on n vertices that marks each isomorphism class once.
+
+End(x) is enumerated in numpy blocks of image tables
+(``endomorphism_blocks``), and one pass over them (``endomorphism_pass``)
+gives |End(x)|, the hull of x and the End(x)-orbits that the maximality
+test needs.  A backtracking CSP (``_endomorphism_csp``) serves searches
+with pinned images or a forced merge, so ``hull`` for a graph of any n,
+and is the oracle of the blocks.
 """
 
 from __future__ import annotations
@@ -18,6 +25,8 @@ import numpy as np
 
 from .errors import CapExceeded
 from .transform import Endofunction
+
+BLOCK_ROWS = 2**12  # rows of one block of End(x), partial maps included
 
 
 class SimpleGraph:
@@ -365,29 +374,121 @@ def endomorphism_search(x: SimpleGraph, pins=None, require_merge=None):
     return None
 
 
-def endomorphism_set(x: SimpleGraph, cap: int = 10**6) -> set[tuple[int, ...]]:
-    """Image tables of all endomorphisms of x.  One enumeration gives both
-    |End(x)| and the orbits that ``is_maximal_given`` needs."""
-    endos = set()
-    for imgs in _endomorphism_csp(x):
-        endos.add(imgs)
-        if len(endos) > cap:
-            raise CapExceeded("endomorphism enumeration exceeded cap", len(endos))
-    return endos
+def _adjacency(x: SimpleGraph) -> np.ndarray:
+    """Adjacency of x as an n x n bool matrix."""
+    return np.array([[row >> w & 1 for w in range(x.n)] for row in x.rows], dtype=bool)
+
+
+def endomorphism_blocks(x: SimpleGraph):
+    """Yield every endomorphism of x once, as the rows of image tables in
+    blocks of at most ``BLOCK_ROWS`` rows (uint8 for n <= 256), in the
+    order ``_endomorphism_csp`` yields them.
+
+    Partial maps grow one vertex at a time in the CSP's order, decreasing
+    degree: vertex u may go to every target adjacent to the images of its
+    placed neighbors.  Each grown block is split into pieces of
+    ``BLOCK_ROWS`` rows and the search goes on depth first, so at most n
+    pieces per level wait at any time, for any n.
+    """
+    n = x.n
+    adj = _adjacency(x)
+    order = sorted(range(n), key=lambda v: (-x.degree(v), v))
+    place = [0] * n
+    for i, v in enumerate(order):
+        place[v] = i
+    placed = [[place[w] for w in _bits(x.rows[v]) if place[w] < i] for i, v in enumerate(order)]
+    stack = [np.zeros((1, 0), dtype=np.min_scalar_type(n - 1))]
+    while stack:
+        part = stack.pop()
+        i = part.shape[1]
+        allowed = np.ones((part.shape[0], n), dtype=bool)
+        for j in placed[i]:
+            allowed &= adj[part[:, j]]
+        rows, targets = np.nonzero(allowed)
+        grown = np.empty((rows.shape[0], i + 1), dtype=part.dtype)
+        grown[:, :i] = part[rows]
+        grown[:, i] = targets
+        pieces = [grown[lo : lo + BLOCK_ROWS] for lo in range(0, grown.shape[0], BLOCK_ROWS)]
+        if i + 1 == n:
+            for piece in pieces:
+                yield piece[:, place]
+        else:
+            stack.extend(reversed(pieces))
+
+
+def _capped_blocks(x: SimpleGraph, cap: int, message: str):
+    """``endomorphism_blocks(x)``, raising CapExceeded(message, cap + 1)
+    once more than ``cap`` rows have come."""
+    count = 0
+    for block in endomorphism_blocks(x):
+        count += block.shape[0]
+        if count > cap:
+            raise CapExceeded(message, cap + 1)
+        yield block
 
 
 def enumerate_endomorphisms(x: SimpleGraph, cap: int = 10**6) -> list[Endofunction]:
     """All endomorphisms of x, sorted by image table."""
-    return [Endofunction(t) for t in sorted(endomorphism_set(x, cap))]
+    blocks = _capped_blocks(x, cap, "endomorphism enumeration exceeded cap")
+    tables = np.concatenate(list(blocks)).tolist()
+    return [Endofunction(t) for t in sorted(map(tuple, tables))]
 
 
 def endomorphism_count(x: SimpleGraph, cap: int = 10**6) -> int:
+    blocks = _capped_blocks(x, cap, "endomorphism count exceeded cap")
+    return sum(block.shape[0] for block in blocks)
+
+
+@dataclass(frozen=True)
+class EndomorphismPass:
+    """What one pass over End(x) shows: its size, the hull of x (the pairs
+    no endomorphism merges), and the End(x)-orbits of the hull's edges, each
+    a bitmask in which bit p stands for ``pair_numbering(n)`` pair p."""
+
+    count: int
+    hull: SimpleGraph
+    orbits: frozenset[int]
+
+
+@functools.lru_cache(maxsize=None)
+def _pair_bits(n: int):
+    """``1 << slot`` of the pair {a, b} as an n x n table, with slot
+    m = n(n-1)/2 on the diagonal, and the two points of each pair."""
+    pairs, offs = pair_numbering(n)
+    m = len(pairs)
+    bit = np.array(
+        [[1 << (offs[min(a, b)] + max(a, b) if a != b else m) for b in range(n)] for a in range(n)],
+        dtype=np.int64 if m < 63 else object,
+    )
+    first, second = np.array(pairs, dtype=np.intp).reshape(m, 2).T
+    return bit, first, second
+
+
+def endomorphism_pass(x: SimpleGraph, cap: int | None = None) -> EndomorphismPass:
+    """One pass over the blocks of End(x), at most ``cap`` rows of it if a
+    cap is given.  Each pair not merged so far ORs in ``1 << slot`` of its
+    images, where slot m = n(n-1)/2 stands for a merged pair; a merged pair
+    leaves the hull and is not looked at again."""
+    n = x.n
+    pairs, _ = pair_numbering(n)
+    m = len(pairs)
+    bit, first, second = _pair_bits(n)
+    orbit = np.zeros(m, dtype=bit.dtype)
+    live = np.arange(m)  # the pairs that no map so far merges
     count = 0
-    for _ in _endomorphism_csp(x):
-        count += 1
-        if count > cap:
-            raise CapExceeded("endomorphism count exceeded cap", count)
-    return count
+    if cap is None:
+        blocks = endomorphism_blocks(x)
+    else:
+        blocks = _capped_blocks(x, cap, "endomorphism enumeration exceeded cap")
+    for block in blocks:
+        count += block.shape[0]
+        if live.size:
+            images = bit[block[:, first[live]], block[:, second[live]]]
+            orbit[live] |= np.bitwise_or.reduce(images, axis=0)
+            live = live[orbit[live] >> m == 0]
+    kept = live.tolist()
+    hull_x = SimpleGraph.from_edges(n, [pairs[p] for p in kept])
+    return EndomorphismPass(count, hull_x, frozenset(int(orbit[p]) for p in kept))
 
 
 # ---------------------------------------------------------------------------
@@ -397,11 +498,10 @@ def endomorphism_count(x: SimpleGraph, cap: int = 10**6) -> int:
 def hull(x: SimpleGraph) -> SimpleGraph:
     """Graph whose edges are the pairs no endomorphism of x can merge.
 
-    One merge-CSP per vertex pair, so End(x) is never enumerated: the
-    explorer takes the hull of every class, passing or not, and End(x) has
-    n^n elements for the null graph.  Where End(x) is enumerated anyway (``endomorphism_set``),
-    the same pairs are those no table in it merges, and
-    ``is_maximal_given`` reads them off it.
+    One merge-CSP per vertex pair, so End(x) is never enumerated, which
+    suits a graph of any n: End(x) has n^n elements for the null graph.
+    Where End(x) is enumerated anyway, ``endomorphism_pass`` reads the same
+    pairs off it.
     """
     n = x.n
     edges = []
@@ -444,8 +544,13 @@ class MaximalityConditions:
     passes: bool
 
 
-def check_maximality_conditions(x: SimpleGraph) -> MaximalityConditions:
-    own_hull = is_hull(x)
+def check_maximality_conditions(
+    x: SimpleGraph, own_hull: bool | None = None
+) -> MaximalityConditions:
+    """The conditions for x; ``own_hull`` is ``is_hull(x)`` when it is
+    already known, from ``endomorphism_pass(x).hull``."""
+    if own_hull is None:
+        own_hull = is_hull(x)
     omega = clique_number(x)
     chi = chromatic_number(x)
     every_edge = derived_graph(x) == x
@@ -464,27 +569,19 @@ def is_maximal_nonsynchronizing(x: SimpleGraph, cap: int = 10**6) -> bool:
     nonnull y, any f in End(y) but not End(x) keeps <End(x), f> inside
     End(y), which merges no edge of y.  And End(x) lies inside End(y)
     exactly when the edges of y are a union of End(x)-orbits of pairs that
-    no endomorphism of x merges.  ``cap`` bounds |End(x)| and the number of
-    such unions.
+    no endomorphism of x merges.  One pass over End(x) gives those orbits
+    (``endomorphism_pass``); then End(y) is streamed for each union y until
+    a map breaks an edge of x.  ``cap`` bounds |End(x)| and the number of
+    unions.
     """
     # A null x has End(x) = T_n, which contains the constants.
-    return not x.is_null() and is_maximal_given(x, endomorphism_set(x, cap), cap)
+    return not x.is_null() and is_maximal_given(x, endomorphism_pass(x, cap).orbits, cap)
 
 
-def is_maximal_given(x: SimpleGraph, endos, cap: int = 10**6) -> bool:
-    """``is_maximal_nonsynchronizing`` for a nonnull x whose endomorphisms
-    are already enumerated: ``endos`` is the set ``endomorphism_set(x)``."""
-    pairs, offs = pair_numbering(x.n)
-    orbits = set()  # bit p stands for pairs[p]
-    for v, w in pairs:
-        orbit = 0
-        for imgs in endos:
-            a, b = imgs[v], imgs[w]
-            if a == b:
-                break
-            orbit |= 1 << (offs[a] + b if a < b else offs[b] + a)
-        else:
-            orbits.add(orbit)
+def is_maximal_given(x: SimpleGraph, orbits, cap: int = 10**6) -> bool:
+    """``is_maximal_nonsynchronizing`` for a nonnull x whose End(x)-orbits
+    of unmerged pairs are known: ``orbits`` is ``endomorphism_pass(x).orbits``."""
+    pairs, _ = pair_numbering(x.n)
     unions = {0}
     for orbit in sorted(orbits):
         unions |= {u | orbit for u in unions}
@@ -494,10 +591,17 @@ def is_maximal_given(x: SimpleGraph, endos, cap: int = 10**6) -> bool:
             raise CapExceeded("orbit unions exceeded cap", cap + 1)
     unions.discard(0)
 
+    adj = _adjacency(x)
+    first, second = np.array(x.edges(), dtype=np.intp).reshape(-1, 2).T
     for union in sorted(unions):
         y = SimpleGraph.from_edges(x.n, [pairs[p] for p in _bits(union)])
-        if any(imgs not in endos for imgs in _endomorphism_csp(y)):
-            return False
+        if y == x:
+            continue  # End(y) is End(x)
+        # End(x) lies inside End(y), so a map of End(y) is outside End(x)
+        # exactly when it sends an edge of x to a non-edge
+        for block in endomorphism_blocks(y):
+            if not adj[block[:, first], block[:, second]].all():
+                return False
     return True
 
 

@@ -100,6 +100,18 @@ class TestGraphCommands:
         assert len(lines) == 32
         assert lines == sorted(lines)
 
+    def test_endos_cap_ends_a_huge_count_at_once(self, capsys, tmp_path):
+        # End of the null graph on 10 vertices has 10^10 maps
+        path = tmp_path / "null10.g"
+        path.write_text("10 0\n")
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, ["endos", "--graph", str(path), "--count-only", "--cap", "1000"]
+        )
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, "")
+        assert "endomorphism count exceeded cap (partial count: 1001)" in err
+
     def test_hull_round_trip(self, capsys, edge_file):
         code, out, _ = run(capsys, ["hull", "--graph", edge_file])
         assert code == 0

@@ -2,7 +2,10 @@ import itertools
 import json
 import math
 import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,11 +15,16 @@ from syncmonoid import (
     ExperimentConfig,
     GeneratorSet,
     SimpleGraph,
+    chromatic_number,
+    clique_number,
+    derived_graph,
     edge_graph_experiment,
+    endomorphism_count,
     enumerate_graphs,
     estimate_sync_probability,
     exact_sync_probability,
     explore_maximal_nonsync,
+    hull,
     is_endomorphism,
     is_synchronizing,
     random_endofunction,
@@ -225,6 +233,24 @@ class TestExactByClasses:
         assert result.fraction == 0
         assert "conjugacy classes" not in result.context
         assert exact_sync_probability(1, 2, 0).fraction == 1
+
+    def test_guard_counts_the_real_classes_before_any_pool(self, monkeypatch):
+        # (4, 5, 1) passes the lower bound, 11 x 24^5 rows, but T_4 has 19
+        # classes: 19 x 24^5 = 1.5e8 rows is past the guard
+        def no_pool(*args):
+            raise AssertionError("a pool was built")
+
+        monkeypatch.setattr(experiments, "_pool_targets", no_pool)
+        with pytest.raises(ValueError, match="closed form|estimate"):
+            exact_sync_probability(4, 5, 1)
+
+    def test_guard_admits_six_points_two_permutations(self, monkeypatch):
+        # 130 classes x 720^2 = 6.7e7 rows; the count itself takes 20 s
+        walked = []
+        monkeypatch.setattr(experiments, "_count_synchronizing",
+                            lambda n, classes, pools, rows: walked.append(len(classes)) or 0)
+        assert exact_sync_probability(6, 2, 1).fraction == 0
+        assert walked == [130]
 
 
 class TestEstimate:
@@ -658,7 +684,10 @@ class TestExplorer:
 
     @pytest.mark.parametrize("n, classes, passing", [(4, 11, 8), (5, 34, 16)])
     def test_one_check_per_class(self, monkeypatch, capsys, n, classes, passing):
-        calls = {"conditions": 0, "end": 0}
+        # one pass over End(x) per class, and one over End(y) per class whose
+        # derived graph y passes the cheap tests
+        derived = {4: 1, 5: 10}[n]
+        calls = {"conditions": 0, "end": 0, "maximal": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -668,11 +697,51 @@ class TestExplorer:
 
         monkeypatch.setattr(experiments, "check_maximality_conditions",
                             counted("conditions", experiments.check_maximality_conditions))
-        monkeypatch.setattr(experiments, "endomorphism_set",
-                            counted("end", experiments.endomorphism_set))
+        monkeypatch.setattr(experiments, "endomorphism_pass",
+                            counted("end", experiments.endomorphism_pass))
+        monkeypatch.setattr(experiments, "is_maximal_given",
+                            counted("maximal", experiments.is_maximal_given))
         assert main(["explore", "--n", str(n)]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 2 ** (n * (n - 1) // 2)
-        assert calls == {"conditions": classes, "end": passing}
+        assert calls == {"conditions": classes, "end": classes + derived, "maximal": passing}
+
+    def test_distinct_pair_candidate_matches_its_definition(self):
+        # the verdict the explorer reaches with the cheap tests first, against
+        # the conjunction it stands for, with hulls from the merge CSP
+        for n in range(1, 7):
+            for x in enumerate_graphs(n, canonical=n == 6):
+                y = derived_graph(x)
+                record = _graph_record(x, 10**6)
+                if y == x:
+                    assert record["distinct_pair_candidate"] is None
+                    continue
+                assert record["distinct_pair_candidate"] == (
+                    endomorphism_count(x) == endomorphism_count(y)
+                    and clique_number(y) == clique_number(x) == chromatic_number(x)
+                    == chromatic_number(y)
+                    and hull(y) == x
+                )
+
+    def test_six_vertex_classes_all_maximal(self, capsys):
+        assert main(["explore", "--n", "6", "--canonical"]) == 0
+        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        passing = [r for r in records if r["passes"]]
+        assert (len(records), len(passing)) == (156, 34)
+        assert all(r["maximal"] is True for r in passing)
+
+    def test_explore_never_imports_numpy_ma(self):
+        # numpy.ma (pulled in by np.unique) adds about 1.5 MB of peak RSS
+        script = (
+            "import contextlib, io, sys\n"
+            "from syncmonoid.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main(['explore', '--n', '5']) == 0\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(experiments.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert (done.returncode, done.stdout) == (0, "False\n")
 
     def test_caps_produce_skip_notes_not_errors(self):
         records = list(explore_maximal_nonsync(4, end_cap=10))

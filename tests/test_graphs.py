@@ -2,6 +2,7 @@ import itertools
 import math
 import pickle
 
+import numpy as np
 import pytest
 
 from syncmonoid import (
@@ -207,6 +208,90 @@ class TestEndomorphisms:
     def test_requires_distinct_merge_pair(self):
         with pytest.raises(ValueError):
             endomorphism_search(SimpleGraph.null(3), require_merge=(1, 1))
+
+
+def small_graphs():
+    """Every labeled graph on at most five vertices, then one graph per
+    isomorphism class on six."""
+    for n in range(1, 6):
+        yield from enumerate_graphs(n)
+    yield from enumerate_graphs(6, canonical=True)
+
+
+def csp_pass(x):
+    """|End(x)|, hull and orbits the slow way: every table from the CSP."""
+    pairs, offs = pair_numbering(x.n)
+    tables = list(graphs._endomorphism_csp(x))
+    kept, orbits = [], set()
+    for v, w in pairs:
+        images = {(min(f[v], f[w]), max(f[v], f[w])) for f in tables}
+        if all(a != b for a, b in images):
+            kept.append((v, w))
+            orbits.add(sum(1 << (offs[a] + b) for a, b in images))
+    return len(tables), SimpleGraph.from_edges(x.n, kept), orbits
+
+
+class TestEndomorphismBlocks:
+    def test_blocks_equal_the_csp(self):
+        # same rows in the same order, in uint8 blocks within the budget
+        for x in small_graphs():
+            blocks = list(graphs.endomorphism_blocks(x))
+            assert all(b.dtype == np.uint8 and 0 < b.shape[0] <= graphs.BLOCK_ROWS
+                       for b in blocks)
+            rows = [tuple(row) for b in blocks for row in b.tolist()]
+            assert rows == list(graphs._endomorphism_csp(x))
+
+    @pytest.mark.parametrize("budget", [1, 7])
+    def test_block_budget_does_not_change_the_rows(self, monkeypatch, budget):
+        xs = [*enumerate_graphs(4), c5(), SimpleGraph.single_edge(5, 1, 3),
+              triangle_plus_pendant(), SimpleGraph.complete(5)]
+        expected = [(np.concatenate(list(graphs.endomorphism_blocks(x))),
+                     graphs.endomorphism_pass(x)) for x in xs]
+        monkeypatch.setattr(graphs, "BLOCK_ROWS", budget)
+        for x, (rows, ends) in zip(xs, expected):
+            blocks = list(graphs.endomorphism_blocks(x))
+            assert all(b.shape[0] <= budget for b in blocks)
+            assert np.array_equal(np.concatenate(blocks), rows)
+            assert graphs.endomorphism_pass(x) == ends
+            assert endomorphism_count(x) == ends.count
+
+    @pytest.mark.parametrize("x, size", [(SimpleGraph.null(4), 256),
+                                         (SimpleGraph.single_edge(4, 0, 1), 32),
+                                         (c5(), 10)])
+    def test_caps_raise_exactly_past_the_size(self, x, size):
+        calls = [
+            (endomorphism_count, "endomorphism count exceeded cap"),
+            (enumerate_endomorphisms, "endomorphism enumeration exceeded cap"),
+            (graphs.endomorphism_pass, "endomorphism enumeration exceeded cap"),
+        ]
+        for fn, message in calls:
+            for cap in (size - 1, size, size + 1):
+                if cap < size:
+                    with pytest.raises(CapExceeded) as exc:
+                        fn(x, cap=cap)
+                    assert exc.value.partial == cap + 1
+                    assert str(exc.value) == f"{message} (partial count: {cap + 1})"
+                else:
+                    fn(x, cap=cap)
+        assert endomorphism_count(x, cap=size) == size
+        assert len(enumerate_endomorphisms(x, cap=size)) == size
+
+    def test_pass_matches_the_csp(self):
+        # the hull read off the pass is the merge-CSP hull, and |End(x)| and
+        # the orbits are those of the CSP's tables
+        for x in small_graphs():
+            ends = graphs.endomorphism_pass(x)
+            count, kept, orbits = csp_pass(x)
+            assert ends.hull == hull(x) == kept
+            assert (ends.count, ends.orbits) == (count, orbits)
+
+    @pytest.mark.parametrize("seed", [22, 45])
+    def test_pass_past_63_pair_slots(self, seed):
+        # 66 pairs on 12 vertices: the orbit bits no longer fit in an int64
+        x = random_graph(12, substream(seed, 0))
+        ends = graphs.endomorphism_pass(x)
+        assert (ends.count, ends.hull, ends.orbits) == csp_pass(x)
+        assert max(ends.orbits).bit_length() > 63
 
 
 class TestHull:
