@@ -20,7 +20,8 @@ from .experiments import (
     estimate_record,
     estimate_sync_probability,
     exact_sync_probability,
-    explore_maximal_nonsync,
+    explore_classes,
+    explore_maximal_nonsync,  # not called here; bench/tracing.py hooks this name
     sweep,
 )
 from .formats import FormatError, format_graph, format_maps, parse_graph, parse_maps
@@ -30,6 +31,7 @@ from .graphs import (
     endomorphism_count,
     enumerate_endomorphisms,
     hull,
+    pair_numbering,
 )
 from .sync import (
     GeneratorSet,
@@ -73,7 +75,10 @@ def _int_list(text: str) -> list[int]:
 _ENCODER = json.JSONEncoder(sort_keys=True)  # what json.dumps(obj, sort_keys=True) builds per call
 
 
-def _emit(args, obj) -> None:
+_EMPTY_EDGES = '"edges": []'  # where _cmd_explore splits a class record's text
+
+
+def _emit(args, obj) -> None:  # bench/tracing.py hooks this name
     args.sink.write(_ENCODER.encode(obj) + "\n")
 
 
@@ -229,16 +234,34 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_explore(args) -> int:
+    """Stream the records of ``explore_maximal_nonsync`` as JSON lines,
+    encoding each class once.  The first member of a class encodes its
+    record with an empty edge list and splits the text there; every member
+    then writes that head, the text of its own edges and the tail.  The keys
+    are sorted, so ``edges`` always sits at the same place and each line is
+    byte for byte what ``_emit`` writes for the member's dict."""
     limit = 7 if args.canonical else 6
     if args.n > limit:
         raise UsageError(
             f"explore supports n <= {limit} ({'canonical' if args.canonical else 'labeled'} mode)"
         )
+    pairs, _ = pair_numbering(args.n)
+    top = len(pairs) - 1
+    edge_texts = [(1 << (top - p), f"[{v + 1}, {w + 1}]") for p, (v, w) in enumerate(pairs)]
+    parts = {}  # id of a class record (kept alive by the walk) -> (head, tail)
     count = 0
-    for record in explore_maximal_nonsync(args.n, canonical=args.canonical, end_cap=args.cap):
-        _emit(args, record)
+    for record, value in explore_classes(args.n, args.canonical, args.cap):
+        split = parts.get(id(record))
+        if split is None:
+            text = _ENCODER.encode(dict(record, canonical=args.canonical, edges=[]))
+            pieces = text.split(_EMPTY_EDGES)
+            if len(pieces) != 2:
+                raise VerificationError(f"{_EMPTY_EDGES} occurs {len(pieces) - 1} times in {text}")
+            split = parts[id(record)] = (pieces[0] + '"edges": [', "]" + pieces[1] + "\n")
+        head, tail = split
+        args.sink.write(head + ", ".join([t for bit, t in edge_texts if value & bit]) + tail)
         count += 1
-    _note(f"explore: {count} graphs")
+    _note(f"explore: {count} graphs, {len(parts)} classes")
     return 0
 
 

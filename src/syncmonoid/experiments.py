@@ -80,6 +80,7 @@ AUDIT_EVERY = 100  # replay a reset word on 1% of synchronizing trials
 BATCH_BUDGET = 2**15  # pair targets, rows * (r + s) * (pairs + 1), in one fixpoint call
 LANE_BUDGET = 2**15  # image-table entries, lanes * (r + s) * n, in one block of trials
 MAXIMALITY_MAX_N = 7  # largest n that explore runs the maximality test on
+PAIR_BUDGET = 2**24  # most point pairs n(n-1)/2 of a Monte Carlo run: n <= 5,793
 
 
 @dataclass(frozen=True)
@@ -102,6 +103,13 @@ class ExperimentConfig:
             raise ValueError("need at least one generator")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
+        # the cached pair arrays alone take about 32 bytes per pair (6.4 GB at n = 20,000)
+        if self.n * (self.n - 1) // 2 > PAIR_BUDGET:
+            largest = (1 + math.isqrt(1 + 8 * PAIR_BUDGET)) // 2
+            raise ValueError(
+                f"n = {self.n} has {self.n * (self.n - 1) // 2} point pairs, past the "
+                f"budget of {PAIR_BUDGET} for Monte Carlo runs (n <= {largest})"
+            )
 
 
 @dataclass(frozen=True)
@@ -671,6 +679,28 @@ def edge_graph_experiment(n: int, trials: int, seed: int) -> EdgeGraphReport:
 # explorer for maximal non-synchronizing endomorphism monoids
 
 
+def explore_classes(n: int, canonical: bool = False, end_cap: int = 10**6):
+    """Yield ``(record, value)`` for every graph on n vertices, in bitstring
+    order: every labeled graph, or with ``canonical`` the lex-least labeling
+    of each isomorphism class.  ``value`` is the graph's ``adjacency_bits``.
+
+    Every field of a record but ``edges`` is an isomorphism invariant, so
+    ``_graph_record`` runs once per class, on its least labeling, which the
+    walk meets first; every member of the class is then yielded with that
+    same dict, not a copy, and the walk keeps every record alive until it
+    ends.  Callers must not change it.
+    """
+    records = {}
+    for value, least in graph_classes(n):
+        if value == least:
+            records[least] = _graph_record(
+                SimpleGraph.from_edges(n, edges_from_bits(n, value)), end_cap
+            )
+        elif canonical:
+            continue
+        yield records[least], value
+
+
 def explore_maximal_nonsync(
     n: int,
     canonical: bool = False,
@@ -688,19 +718,11 @@ def explore_maximal_nonsync(
     maximal-monoid presentation with distinct graphs (no such pair is
     expected).  Caps produce skip notes, never an abort.
 
-    Every field but ``edges`` is an isomorphism invariant, so
-    ``_graph_record`` runs once per class, on its least labeling, and each
-    labeled member of the class streams a copy with its own edges.
+    A view on ``explore_classes``: each labeled graph gets its own copy of
+    its class's record, with its own ``edges``.  The CLI streams the same
+    records as pre-encoded text; these dicts are its oracle.
     """
-    records = {}
-    for value, least in graph_classes(n):
-        if value == least:
-            records[least] = _graph_record(
-                SimpleGraph.from_edges(n, edges_from_bits(n, value)), end_cap
-            )
-        elif canonical:
-            continue
-        record = records[least]
+    for record, value in explore_classes(n, canonical, end_cap):
         yield dict(
             record,
             canonical=canonical,
@@ -805,13 +827,12 @@ def sweep(n_values, configs, seed: int, threads: int = 1) -> list[dict]:
     row can be reproduced in isolation; rerunning the whole sweep with the
     same master seed gives byte-identical output.
     """
-    records = []
-    index = 0
-    for n in n_values:
-        for r, s, trials in configs:
-            record_seed = derive_seed(seed, index)
-            index += 1
-            config = ExperimentConfig(n, r, s, trials, record_seed)
-            est = estimate_sync_probability(config, threads=threads)
-            records.append(estimate_record("sweep", config, est))
-    return records
+    # every row's config first, so that a refused n stops the sweep before any row runs
+    rows = [
+        ExperimentConfig(n, r, s, trials, derive_seed(seed, index))
+        for index, (n, (r, s, trials)) in enumerate(itertools.product(n_values, configs))
+    ]
+    return [
+        estimate_record("sweep", config, estimate_sync_probability(config, threads=threads))
+        for config in rows
+    ]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -9,7 +10,9 @@ import numpy as np
 import pytest
 
 import syncmonoid
+from syncmonoid import cli, experiments
 from syncmonoid.cli import main
+from syncmonoid.experiments import explore_maximal_nonsync
 from syncmonoid.formats import parse_graph
 
 DATA = Path(__file__).resolve().parents[1] / "data"
@@ -244,10 +247,41 @@ class TestExperimentsCommands:
         assert out == ""
 
     def test_explore(self, capsys):
-        code, out, _ = run(capsys, ["explore", "--n", "3"])
+        code, out, err = run(capsys, ["explore", "--n", "3"])
         assert code == 0
         records = [json.loads(line) for line in out.splitlines()]
         assert len(records) == 8
+        assert "explore: 8 graphs, 4 classes" in err
+        code, _, err = run(capsys, ["explore", "--n", "5", "--canonical"])
+        assert "explore: 34 graphs, 34 classes" in err
+
+    @pytest.mark.parametrize("canonical", [False, True])
+    @pytest.mark.parametrize("cap", [3, 20, None])
+    def test_explore_stream_equals_encoded_records(self, capsys, canonical, cap):
+        # the CLI splices each class's encoded text around every member's
+        # edges; the per-graph dicts, encoded one by one, are its oracle
+        skips = 0
+        for n in range(1, 6):
+            argv = ["explore", "--n", str(n)] + ["--canonical"] * canonical
+            kwargs = {"canonical": canonical}
+            if cap is not None:
+                argv += ["--cap", str(cap)]
+                kwargs["end_cap"] = cap
+            records = list(explore_maximal_nonsync(n, **kwargs))
+            code, out, _ = run(capsys, argv)
+            assert code == 0
+            assert out == "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+            assert records[0]["edges"] == []  # the null graph comes first
+            skips += sum(len(r["skips"]) for r in records)
+        assert (skips > 0) == (cap is not None)
+
+    def test_explore_out_file_equals_encoded_records(self, capsys, tmp_path):
+        path = tmp_path / "explore.jsonl"
+        code, out, _ = run(capsys, ["explore", "--n", "4", "--cap", "3", "--out", str(path)])
+        assert code == 0
+        assert out == ""
+        records = explore_maximal_nonsync(4, end_cap=3)
+        assert path.read_text() == "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
 
     def test_explore_rejects_big_n(self, capsys):
         code, _, err = run(capsys, ["explore", "--n", "7"])
@@ -361,6 +395,24 @@ class TestErrorHandling:
             main(["estimate", "--n", "0", "--k", "1", "--trials", "5", "--seed", "1"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("perms, maps", [("0", "1"), ("0", "2"), ("1", "1"), ("2", "0")])
+    @pytest.mark.parametrize("command, n", [("estimate", "5794"), ("sweep", "10,20000")])
+    def test_pair_budget_refuses_before_any_array(self, capsys, monkeypatch, perms, maps,
+                                                  command, n):
+        def never(*args, **kwargs):
+            raise AssertionError("built or ran past the pair budget")
+
+        monkeypatch.setattr(experiments, "_pair_arrays", never)
+        monkeypatch.setattr(experiments, "estimate_sync_probability", never)
+        monkeypatch.setattr(cli, "estimate_sync_probability", never)
+        argv = [command, "--n", n, "--perms", perms, "--maps-count", maps,
+                "--trials", "5", "--seed", "1"]
+        code, out, err = run(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert "past the budget of 16777216" in err and "n <= 5793" in err
+        assert "Traceback" not in err
+
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "bench" / "golden"
 TESTS_GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -371,7 +423,8 @@ class TestGoldenOutputs:
     explore workload, with the same arguments as bench/workloads.py, must
     reproduce the committed golden output byte for byte.  So must
     ``explore --n 6 --canonical``, the first size with maximality verdicts
-    that no bench workload runs; its copy lives in tests/golden/."""
+    that no bench workload runs; its copy lives in tests/golden/.  The
+    labeled ``explore --n 6`` is pinned by its sha256."""
 
     def test_estimate_k1_seed7(self, capsys):
         argv = ["estimate", "--n", "30", "--k", "1", "--trials", "10000",
@@ -394,6 +447,15 @@ class TestGoldenOutputs:
         code, out, _ = run(capsys, ["explore", "--n", "5"])
         assert code == 0
         assert out == (GOLDEN_DIR / "explore5.out").read_text()
+
+    def test_explore_n6_labeled_digest(self, capsys):
+        # 32,768 lines, too many for a golden file; pinned by digest instead
+        code, out, _ = run(capsys, ["explore", "--n", "6"])
+        assert code == 0
+        assert out.count("\n") == 32768
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "665b7d675c17fe23caa32288b24bc458fd01b39c1a10538b3c4d1f02a396a89e"
+        )
 
     def test_explore_n6_canonical(self, capsys):
         code, out, _ = run(capsys, ["explore", "--n", "6", "--canonical"])

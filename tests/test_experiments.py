@@ -75,6 +75,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(0, 0, 1, 10, 1)
 
+    def test_pair_budget_admits_exactly_n_up_to_5793(self):
+        assert 5793 * 5792 // 2 <= experiments.PAIR_BUDGET < 5794 * 5793 // 2
+        ExperimentConfig(5793, 0, 2, 1, 1)
+        with pytest.raises(ValueError, match=r"past the budget .* \(n <= 5793\)"):
+            ExperimentConfig(5794, 0, 2, 1, 1)
+
 
 class TestWilson:
     def test_bounds_order(self):
@@ -788,6 +794,15 @@ class TestSweep:
 
     def test_empty_n_list(self):
         assert sweep([], self.CONFIG, seed=1) == []
+
+    def test_refuses_past_the_pair_budget_before_any_row(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("a row ran before the refusal")
+
+        monkeypatch.setattr(experiments, "estimate_sync_probability", never)
+        monkeypatch.setattr(experiments, "_pair_arrays", never)
+        with pytest.raises(ValueError, match="pair"):
+            sweep([4, 5, 5794], self.CONFIG, seed=1)
 
     def test_rows_reproducible_from_their_own_seed(self):
         record = sweep([6], self.CONFIG, seed=13)[0]
