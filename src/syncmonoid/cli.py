@@ -2,8 +2,8 @@
 
 Machine-readable output (JSON or the map/graph text formats) goes to
 stdout, or to a file with --out; human summaries go to stderr.  Exit
-codes: 0 success, 1 domain error (bad file contents, caps), 2 usage
-error, 3 internal error (a certificate failed its check).
+codes: 0 success, 1 domain error (bad file contents, caps, out of memory),
+2 usage error, 3 internal error (a certificate failed its check).
 """
 
 from __future__ import annotations
@@ -380,6 +380,11 @@ def main(argv=None) -> int:
         return 1
     except (ValueError, CapExceeded, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}; try smaller inputs or a lower --cap",
+              file=sys.stderr)
         return 1
     except VerificationError as exc:
         print(f"internal error: {exc}", file=sys.stderr)

@@ -125,10 +125,18 @@ def monte_carlo_transitive(n: int, pairs: bool, trials: int, seed: int) -> Estim
     return make_estimate(successes, trials)
 
 
+# Largest max_n of summary_rows: 500 takes about 4 s on a 2-core Xeon, and
+# 1,000 more than 20 s.
+SUMMARY_MAX_N = 500
+
+
 def summary_rows(max_n: int) -> list[dict]:
     """Per-n table rows: exact transitivity probability, the union bound,
     1/n, and n^2 times the gap between the intransitivity probability and
-    1/n.  The gap column is reported, never asserted against."""
+    1/n.  The gap column is reported, never asserted against.  A max_n past
+    ``SUMMARY_MAX_N`` is refused before any row is computed."""
+    if max_n > SUMMARY_MAX_N:
+        raise ValueError(f"max_n = {max_n} is past the bound of {SUMMARY_MAX_N} for the table")
     table = transitive_pair_counts(max_n)
     rows = []
     for n in range(2, max_n + 1):

@@ -8,9 +8,11 @@ order is fixed: the permutation generators first, then the endofunction
 generators.
 
 Trials run in blocks: one ``rng.Lanes`` lane per trial draws the generators
-of the whole block at once (``transform.random_tables``).  A lane that hit
-a rejected draw is redone from its untouched stream by ``_trial_outcome``,
-the scalar path, which is also the oracle for the lanes.  A single map is
+of the whole block at once (``transform.random_tables``).  The lanes are
+seeded in numpy from (seed, first trial, count), so no scalar stream is
+built for them.  A lane that hit a rejected draw is redone from its own
+``substream(seed, trial)`` by ``_trial_outcome``, the scalar path, which
+is also the oracle for the lanes.  A single map is
 decided for the whole block by repeated squaring.  A mix with a map f is
 first filtered on the periodic points C of f, the image of a power f^J:
 maps "w then f^J", w a short word, lie in the monoid and map every point
@@ -59,7 +61,7 @@ from .graphs import (  # bench/tracing.py hooks several of these names here
     is_maximal_given,
     is_maximal_nonsynchronizing,
 )
-from .rng import Lanes, derive_seed, substream
+from .rng import Lanes, derive_seed, derive_seeds, substream
 from .stats import EstimateWithCI, make_estimate
 from .sync import (  # bench/tracing.py hooks min_rank_witness here
     GeneratorSet,
@@ -78,7 +80,12 @@ from .transform import (
 
 AUDIT_EVERY = 100  # replay a reset word on 1% of synchronizing trials
 BATCH_BUDGET = 2**15  # pair targets, rows * (r + s) * (pairs + 1), in one fixpoint call
-LANE_BUDGET = 2**15  # image-table entries, lanes * (r + s) * n, in one block of trials
+# Image-table entries, lanes * (r + s) * n, in one block of trials (1 MB of
+# intp), but never fewer than LANE_FLOOR lanes, which wins once n * (r + s) >
+# 2,048: at the PAIR_BUDGET limit, n = 5,793, a block's tables take
+# 64 * 5,793 * 8 B = 2.97 MB per generator.
+LANE_BUDGET = 2**17
+LANE_FLOOR = 64
 MAXIMALITY_MAX_N = 7  # largest n that explore runs the maximality test on
 PAIR_BUDGET = 2**24  # most point pairs n(n-1)/2 of a Monte Carlo run: n <= 5,793
 
@@ -337,14 +344,13 @@ def _pair_mix_lanes(tables, r: int) -> np.ndarray:
 
 
 def _lane_blocks(n: int, r: int, s: int, seed: int, lo: int, hi: int):
-    """Trials lo..hi in blocks of at most ``max(1, LANE_BUDGET // (n * (r + s)))``
-    lanes; yields (first trial, streams, image tables, rejected mask).  The
-    streams are untouched, ready to redo the rejected lanes."""
-    size = max(1, LANE_BUDGET // (n * (r + s)))
+    """Trials lo..hi in blocks of ``max(LANE_FLOOR, LANE_BUDGET // (n * (r + s)))``
+    lanes; yields (first trial, image tables, rejected mask).  Trial t of a
+    rejected lane is redone from ``substream(seed, t)``."""
+    size = max(LANE_FLOOR, LANE_BUDGET // (n * (r + s)))
     for start in range(lo, hi, size):
-        streams = [substream(seed, t) for t in range(start, min(start + size, hi))]
-        lanes = Lanes(streams)
-        yield start, streams, random_tables(n, r, s, lanes), lanes.rejected
+        lanes = Lanes(derive_seeds(seed, start, min(size, hi - start)))
+        yield start, random_tables(n, r, s, lanes), lanes.rejected
 
 
 def _trial_outcome(config: ExperimentConfig, stream) -> tuple[bool, list]:
@@ -389,20 +395,20 @@ def _run_chunk(args) -> int:
     config = ExperimentConfig(*args[:5])
     n, r, s = config.n, config.num_permutations, config.num_endofunctions
     successes = 0
-    for start, streams, tables, rejected in _lane_blocks(n, r, s, config.seed, *args[5:7]):
+    for start, tables, rejected in _lane_blocks(n, r, s, config.seed, *args[5:7]):
         if (r, s) == (0, 1):
             sync = _single_map_synchronizes(tables[:, 0]) & ~rejected
         else:
             sync = _pair_mix_lanes(tables, r) & ~rejected
         redone = {}
         for i in np.flatnonzero(rejected).tolist():
-            sync[i], redone[i] = _trial_outcome(config, streams[i])
+            sync[i], redone[i] = _trial_outcome(config, substream(config.seed, start + i))
         successes += int(np.count_nonzero(sync))
 
         def gens(i):
             return redone.get(i) or [Endofunction(row) for row in tables[i].tolist()]
 
-        for i in range(-start % AUDIT_EVERY, len(streams), AUDIT_EVERY):
+        for i in range(-start % AUDIT_EVERY, len(tables), AUDIT_EVERY):
             if sync[i]:
                 _audit(gens(i))
         if (r, s) != (0, 1):
@@ -661,9 +667,10 @@ def edge_graph_experiment(n: int, trials: int, seed: int) -> EdgeGraphReport:
     per_graph = Fraction(2 * n ** (n - 2), n**n) ** 2
     bound = graph_count * per_graph
     successes = 0
-    for _, streams, tables, rejected in _lane_blocks(n, 0, 2, seed, 0, trials):
-        for stream, (f, g), bad in zip(streams, tables.tolist(), rejected):
-            if bad:
+    for start, tables, rejected in _lane_blocks(n, 0, 2, seed, 0, trials):
+        for i, (f, g) in enumerate(tables.tolist()):
+            if rejected[i]:
+                stream = substream(seed, start + i)
                 f, g = (random_endofunction(n, stream).images for _ in range(2))
             if not _setwise_fixed_pairs(f).isdisjoint(_setwise_fixed_pairs(g)):
                 successes += 1

@@ -5,11 +5,14 @@ Substreams are derived from a (master seed, index) pair, so a run that
 hands trial i to any worker always draws the same values for trial i.
 All arithmetic is fixed 64-bit, independent of platform and interpreter.
 
-``Lanes`` runs many streams at once, one numpy ``uint64`` lane per stream.
-It draws exactly what each ``Stream`` would, except that it cannot redraw
-a rejected value: it flags the lane instead, and the caller redoes that
-lane with its scalar ``Stream``, which ``Lanes`` never advances.  The
-scalar ``Stream`` is the oracle for the lanes.
+``Lanes`` runs many streams at once, one numpy ``uint64`` lane per stream,
+seeded in numpy from the seeds the streams would take: ``derive_seeds``
+gives the seeds of the substreams ``index .. index + count - 1`` of a
+master seed, and no scalar ``Stream`` is built.  The lanes draw exactly
+what each ``Stream`` would, except that they cannot redraw a rejected
+value: they flag the lane instead, and the caller redoes that lane from
+its own ``substream``.  The scalar ``Stream``, ``derive_seed`` and
+``substream`` are that redo path and the oracle for the lanes.
 """
 
 from __future__ import annotations
@@ -85,6 +88,13 @@ def _threshold(bound: int) -> int:
     return (1 << 64) - ((1 << 64) % bound)
 
 
+def _mix64_lanes(z):
+    # _mix64 on a uint64 array; numpy array products wrap mod 2**64
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
 def _rotl_lanes(x, k: int):
     return (x << np.uint64(k)) | (x >> np.uint64(64 - k))
 
@@ -92,21 +102,25 @@ def _rotl_lanes(x, k: int):
 class Lanes:
     """xoshiro256** on many streams at once, one ``uint64`` lane each.
 
-    The lanes start from copies of the streams' states; the streams
-    themselves are never advanced.  ``rejected`` marks every lane that drew
-    a value its scalar stream would have rejected; from that draw on the
-    lane no longer follows its stream, and its values must be redrawn from
-    the stream.
+    Lane i starts in the state of ``Stream(seeds[i])``: the same four
+    SplitMix64 rounds, on the whole array.  ``seeds`` is a ``uint64`` array,
+    as ``derive_seeds`` gives it, or any sequence of ints, taken mod 2**64
+    as ``Stream`` takes them.  ``rejected`` marks every lane that drew a
+    value its scalar stream would have rejected; from that draw on the lane
+    no longer follows its stream, and its values must be redrawn from it.
     """
 
     __slots__ = ("_state", "rejected")
 
-    def __init__(self, streams):
-        self._state = [
-            np.array([getattr(st, slot) for st in streams], dtype=np.uint64)
-            for slot in Stream.__slots__
-        ]
-        self.rejected = np.zeros(len(streams), dtype=bool)
+    def __init__(self, seeds):
+        if not isinstance(seeds, np.ndarray):
+            seeds = [seed & _MASK for seed in seeds]
+        sm = np.array(seeds, dtype=np.uint64)  # a copy: the rounds below add in place
+        self._state = []
+        for _ in range(4):
+            sm += np.uint64(_GOLDEN)
+            self._state.append(_mix64_lanes(sm))
+        self.rejected = np.zeros(sm.shape[0], dtype=bool)
 
     def next_u64(self):
         """One xoshiro256** step on every lane; a new ``uint64`` array."""
@@ -134,6 +148,13 @@ class Lanes:
 def derive_seed(master_seed: int, index: int) -> int:
     """Child seed for item ``index``; distinct indices never collide."""
     return (_mix64(master_seed & _MASK) + index * _GOLDEN) & _MASK
+
+
+def derive_seeds(master_seed: int, index: int, count: int) -> np.ndarray:
+    """``derive_seed(master_seed, index + i)`` for i < count, as a ``uint64``
+    array: consecutive child seeds differ by the golden gamma, mod 2**64."""
+    steps = np.arange(count, dtype=np.uint64) * np.uint64(_GOLDEN)
+    return steps + np.uint64(derive_seed(master_seed, index))
 
 
 def substream(master_seed: int, index: int) -> Stream:

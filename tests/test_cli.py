@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import syncmonoid
-from syncmonoid import cli, experiments
+from syncmonoid import cli, dixon, experiments
 from syncmonoid.cli import main
 from syncmonoid.experiments import explore_maximal_nonsync
 from syncmonoid.formats import parse_graph
@@ -296,6 +296,43 @@ class TestExperimentsCommands:
         assert [r["c_n"] for r in rows] == ["3", "26", "426"]
         assert rows[2]["prob_transitive"] == "71/96"
 
+    def test_dixon_refuses_past_its_bound_before_any_work(self, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("computed past the dixon bound")
+
+        assert dixon.SUMMARY_MAX_N == 500
+        monkeypatch.setattr(dixon, "transitive_pair_counts", never)
+        code, out, err = run(capsys, ["dixon", "--max-n", "501"])
+        assert code == 1
+        assert out == ""
+        assert "past the bound of 500" in err and "Traceback" not in err
+        # the bound itself is admitted
+        monkeypatch.undo()
+        monkeypatch.setattr(dixon, "SUMMARY_MAX_N", 5)
+        code, out, _ = run(capsys, ["dixon", "--max-n", "5"])
+        assert code == 0 and out.count("\n") == 4
+        assert run(capsys, ["dixon", "--max-n", "6"])[0] == 1
+
+    @pytest.mark.parametrize("perms, maps", [(0, 1), (0, 2), (1, 1), (2, 1)])
+    def test_output_does_not_depend_on_block_size(self, capsys, monkeypatch, perms, maps):
+        # one lane per block, the old budget and a budget past every run,
+        # each in one process and in two forked workers
+        mix = ["--perms", str(perms), "--maps-count", str(maps), "--seed", "4"]
+        commands = [["estimate", "--n", "9", "--trials", "300", *mix],
+                    ["sweep", "--n", "3,7,12", "--trials", "150", *mix]]
+        outputs = set()
+        for budget, floor in [(1, 1), (2**15, 64), (2**20, 64)]:
+            monkeypatch.setattr(experiments, "LANE_BUDGET", budget)
+            monkeypatch.setattr(experiments, "LANE_FLOOR", floor)
+            for threads in ("1", "2"):
+                texts = []
+                for argv in commands:
+                    code, out, _ = run(capsys, [*argv, "--threads", threads])
+                    assert code == 0
+                    texts.append(out)
+                outputs.add(tuple(texts))
+        assert len(outputs) == 1
+
 
 class TestErrorHandling:
     def test_missing_file(self, capsys):
@@ -412,6 +449,19 @@ class TestErrorHandling:
         assert out == ""
         assert "past the budget of 16777216" in err and "n <= 5793" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("message", ["Unable to allocate 6.40 GiB for an array", ""])
+    def test_memory_error_exits_1_without_a_traceback(self, capsys, monkeypatch, message):
+        def exhausted(*args, **kwargs):
+            raise MemoryError(message) if message else MemoryError
+
+        monkeypatch.setattr(cli, "estimate_sync_probability", exhausted)
+        code, out, err = run(capsys, ["estimate", "--n", "5", "--k", "1",
+                                      "--trials", "5", "--seed", "1"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: out of memory")
+        assert message in err and "Traceback" not in err
 
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "bench" / "golden"

@@ -50,7 +50,8 @@ from syncmonoid.experiments import (
     _trial_outcome,
 )
 from syncmonoid.graphs import pair_numbering
-from syncmonoid.rng import Lanes
+from syncmonoid.rng import Lanes, derive_seeds
+from syncmonoid.stats import make_estimate
 from syncmonoid.sync import (
     collapsible_pairs,
     monoid_closure,
@@ -209,8 +210,7 @@ class TestExactByClasses:
     @pytest.mark.parametrize("n", [5, 6, 7])
     @pytest.mark.parametrize("r", [0, 1])
     def test_batch_rows_against_closure(self, n, r):
-        streams = [substream(100 + n, t) for t in range(2000)]
-        tables = random_tables(n, r, 2 - r, Lanes(streams))
+        tables = random_tables(n, r, 2 - r, Lanes(derive_seeds(100 + n, 0, 2000)))
         targets = _pair_targets(n, tables)  # (rows, 2, pairs)
         decided = _synchronizing_rows([targets[:, 0], targets[:, 1]])
         expected = [
@@ -357,18 +357,36 @@ class TestLanePath:
         assert est.successes == len(expected)
         assert audited == expected
 
+    def test_only_rejected_lanes_build_a_stream(self, monkeypatch):
+        built = []
+
+        def counting(seed, index):
+            built.append(index)
+            return substream(seed, index)
+
+        monkeypatch.setattr(experiments, "substream", counting)
+        config = ExperimentConfig(6, 1, 1, 250, seed=19)
+        estimate_sync_probability(config)
+        edge_graph_experiment(4, 250, seed=19)
+        assert built == []
+        monkeypatch.setattr(experiments, "LANE_BUDGET", 6 * 2 * 64)  # blocks of 64
+        _flaky_randbelow(monkeypatch)
+        estimate_sync_probability(config)
+        # the flaky draws flag every third lane of each block, from its second on
+        assert built == [t for t in range(250) if t % 64 % 3 == 1]
+
     def test_edge_graph_fallback_matches_lanes(self, monkeypatch):
         plain = edge_graph_experiment(4, 500, seed=9).estimate
+        monkeypatch.setattr(experiments, "LANE_BUDGET", 4 * 2 * 64)  # blocks of 64
         _flaky_randbelow(monkeypatch)
         assert edge_graph_experiment(4, 500, seed=9).estimate == plain
 
     @pytest.mark.parametrize("n", range(1, 41))
     def test_single_map_decision_matches_scalar(self, n):
         config = ExperimentConfig(n, 0, 1, 1, seed=n)
-        streams = [substream(n, t) for t in range(64)]
-        maps = random_tables(n, 0, 1, Lanes(streams))[:, 0]
+        maps = random_tables(n, 0, 1, Lanes(derive_seeds(n, 0, 64)))[:, 0]
         decided = experiments._single_map_synchronizes(maps)
-        assert decided.tolist() == [_trial_outcome(config, st)[0] for st in streams]
+        assert decided.tolist() == [_trial_outcome(config, substream(n, t))[0] for t in range(64)]
         # a path into a fixed point has the longest tail, n - 1 steps; a
         # 2-cycle at its end never collapses
         path = [max(v - 1, 0) for v in range(n)]
@@ -380,13 +398,38 @@ class TestLanePath:
         ]
 
     @pytest.mark.parametrize("r, s, n, trials", [(0, 1, 30, 2500), (1, 1, 40, 1000)])
-    def test_threads_agree_off_block_boundaries(self, r, s, n, trials):
-        # blocks of 1092 and 409 lanes; two chunks split the trials elsewhere
+    def test_threads_agree_off_block_boundaries(self, monkeypatch, r, s, n, trials):
+        # blocks of 1092 and 409 lanes; two chunks split the trials elsewhere.
+        # The default budget would hold each run in one block; the forked
+        # workers inherit the patched one.
+        monkeypatch.setattr(experiments, "LANE_BUDGET", 2**15)
         config = ExperimentConfig(n, r, s, trials, seed=23)
         assert trials % max(1, experiments.LANE_BUDGET // (n * (r + s)))
         assert estimate_sync_probability(config, threads=1) == estimate_sync_probability(
             config, threads=2
         )
+
+    def test_blocks_never_drop_below_the_lane_floor(self):
+        # at n = 5,120 the budget alone would give 25 lanes to a block
+        assert experiments.LANE_BUDGET // 5120 < experiments.LANE_FLOOR == 64
+        blocks = experiments._lane_blocks(5120, 0, 1, 7, 0, 130)
+        assert [(start, tables.shape, rejected.shape) for start, tables, rejected in blocks] == [
+            (0, (64, 1, 5120), (64,)), (64, (64, 1, 5120), (64,)), (128, (2, 1, 5120), (2,))
+        ]
+
+    @pytest.mark.parametrize("floor", [64, 2])
+    def test_large_n_stdout_equals_scalar_oracle(self, monkeypatch, capsys, floor):
+        # one block of five lanes under the floor, or blocks of 2, 2 and 1
+        monkeypatch.setattr(experiments, "LANE_FLOOR", floor)
+        config = ExperimentConfig(2000, 0, 2, 5, seed=11)
+        successes = sum(
+            _trial_outcome(config, substream(config.seed, t))[0] for t in range(config.trials)
+        )
+        record = experiments.estimate_record("estimate", config, make_estimate(successes, 5))
+        argv = ["estimate", "--n", "2000", "--perms", "0", "--maps-count", "2",
+                "--trials", "5", "--seed", "11"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == json.dumps(record, sort_keys=True) + "\n"
 
     @pytest.mark.parametrize("r, s, n", [(0, 1, 9), (2, 1, 9), (0, 3, 6)])
     def test_block_path_matches_scalar_oracle(self, monkeypatch, r, s, n):
@@ -431,7 +474,7 @@ class TestBatchedPairPath:
     @pytest.mark.parametrize("dtype", [np.intp, np.uint8])
     def test_pair_targets_match_min_max_formula(self, n, dtype):
         # at n = 80, a * n overflows uint8; the exact path passes uint8 tables
-        tables = random_tables(n, 1, 2, Lanes([substream(n, t) for t in range(20)]))
+        tables = random_tables(n, 1, 2, Lanes(derive_seeds(n, 0, 20)))
         tables = tables.astype(dtype)
         assert np.array_equal(_pair_targets(n, tables), _min_max_pair_targets(n, tables))
         one = tables[0, 0]  # one table alone, as the exact path passes a representative
@@ -444,7 +487,7 @@ class TestBatchedPairPath:
             k, pairs = r + s, n * (n - 1) // 2
             # batches of 3 rows: 50 lanes split 16 times and leave 2
             monkeypatch.setattr(experiments, "BATCH_BUDGET", 3 * k * (pairs + 1) + 1)
-            tables = random_tables(n, r, s, Lanes([substream(40 + n, t) for t in range(50)]))
+            tables = random_tables(n, r, s, Lanes(derive_seeds(40 + n, 0, 50)))
             decided = experiments._synchronizing_lanes(n, tables).tolist()
             assert decided == [_all_pairs_collapsible(n, rows) for rows in tables]
             verdicts.update(decided)
@@ -457,7 +500,7 @@ class TestBatchedPairPath:
             for n in range(1, 13):
                 # small batches, so that a group of equal |C| spans several calls
                 monkeypatch.setattr(experiments, "BATCH_BUDGET", 7 * k * (n + 1))
-                tables = random_tables(n, r, s, Lanes([substream(60 + n, t) for t in range(50)]))
+                tables = random_tables(n, r, s, Lanes(derive_seeds(60 + n, 0, 50)))
                 accepted = experiments._synchronizing_on_cycles(tables, r).tolist()
                 decided = experiments._pair_mix_lanes(tables, r).tolist()
                 full = [_all_pairs_collapsible(n, rows) for rows in tables]
@@ -473,7 +516,7 @@ class TestBatchedPairPath:
 
     @pytest.mark.parametrize("n", range(1, 41))
     def test_cycle_power_image_is_the_periodic_points(self, n):
-        maps = random_tables(n, 0, 1, Lanes([substream(80 + n, t) for t in range(16)]))[:, 0]
+        maps = random_tables(n, 0, 1, Lanes(derive_seeds(80 + n, 0, 16)))[:, 0]
         power = experiments._cycle_power(maps)
         exponent = 2 ** max(1, (n - 1).bit_length())
         assert exponent >= n - 1

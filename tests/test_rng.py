@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from syncmonoid import Stream, derive_seed, substream
-from syncmonoid.rng import Lanes
+from syncmonoid.rng import Lanes, derive_seeds
 
 
 def test_stream_is_reproducible():
@@ -56,7 +56,7 @@ def test_substreams_do_not_collide():
 @pytest.mark.parametrize("draw", [
     lambda bound: Stream(1).randbelow(bound),
     lambda bound: Stream(1).integers(bound, 3),
-    lambda bound: Lanes([Stream(1), Stream(2)]).randbelow(bound),
+    lambda bound: Lanes([1, 2]).randbelow(bound),
 ], ids=["randbelow", "integers", "lanes"])
 def test_bounds_above_two_to_the_64_are_refused(draw):
     # every 64-bit draw would be rejected: the loop would never end
@@ -68,7 +68,7 @@ def test_bounds_above_two_to_the_64_are_refused(draw):
 
 def test_largest_bound_is_the_raw_draw():
     assert Stream(3).randbelow(2**64) == Stream(3).next_u64()
-    lanes = Lanes([Stream(3)])
+    lanes = Lanes([3])
     assert lanes.randbelow(2**64).tolist() == [Stream(3).next_u64()]
     assert not lanes.rejected.any()
 
@@ -86,13 +86,13 @@ class CountingStream(Stream):
 @pytest.mark.parametrize("bound", [1, 2, 30, 2**32, 2**63 + 1])
 def test_lanes_match_scalar_streams(bound):
     count = 400
-    streams = [substream(11, i) for i in range(count)]
+    seeds = derive_seeds(11, 0, count)
     oracles = []
     for i in range(count):
         oracle = CountingStream(derive_seed(11, i))
         oracle.draws = 0
         oracles.append(oracle)
-    lanes = Lanes(streams)
+    lanes = Lanes(seeds)
     for calls in range(1, 4):
         values = lanes.randbelow(bound)
         assert values.dtype == np.uint64
@@ -107,7 +107,32 @@ def test_lanes_match_scalar_streams(bound):
         assert count // 2 < flagged < count
     else:
         assert flagged == 0
-    # the lanes ran on copies: every stream still starts at its first draw
-    assert [s.next_u64() for s in streams] == [
-        substream(11, i).next_u64() for i in range(count)
-    ]
+    # the lanes ran on a copy: the seeds are still those of the substreams
+    assert seeds.tolist() == [derive_seed(11, i) for i in range(count)]
+
+
+@pytest.mark.parametrize("master", [0, 1, -1, 2**64 - 1, 2**70])
+@pytest.mark.parametrize("start", [0, 1, 10**12, 2**63])
+def test_seeded_lanes_equal_substreams(master, start):
+    # from 2**63 on, start * golden wraps mod 2**64, and so do the steps after it
+    count = 40
+    seeds = derive_seeds(master, start, count)
+    assert seeds.dtype == np.uint64
+    assert seeds.tolist() == [derive_seed(master, start + i) for i in range(count)]
+    lanes = Lanes(seeds)
+    oracles = [substream(master, start + i) for i in range(count)]
+    for word, slot in zip(lanes._state, Stream.__slots__):
+        assert word.tolist() == [getattr(st, slot) for st in oracles]
+    for _ in range(3):
+        assert lanes.next_u64().tolist() == [st.next_u64() for st in oracles]
+
+
+def test_lanes_take_seeds_as_a_stream_does():
+    # ints are taken mod 2**64, as Stream takes them; a uint64 array as is
+    seeds = [0, 1, -1, 2**64 - 1, 2**64, 2**70 + 5]
+    by_list = Lanes(seeds).next_u64().tolist()
+    assert by_list == [Stream(seed).next_u64() for seed in seeds]
+    masked = np.array([seed % 2**64 for seed in seeds], dtype=np.uint64)
+    assert Lanes(masked).next_u64().tolist() == by_list
+    assert Lanes(np.array([-1], dtype=np.int64)).next_u64().tolist() == by_list[2:3]
+    assert Lanes(derive_seeds(5, 0, 0)).next_u64().shape == (0,)

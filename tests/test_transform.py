@@ -21,7 +21,7 @@ from syncmonoid import (
     rank,
     substream,
 )
-from syncmonoid.rng import Lanes
+from syncmonoid.rng import Lanes, derive_seeds
 from syncmonoid.transform import random_tables
 
 
@@ -220,12 +220,12 @@ class TestRandom:
 @pytest.mark.parametrize("n, r, s", [(1, 1, 1), (2, 2, 1), (5, 0, 3), (17, 2, 1), (30, 1, 0)])
 def test_random_tables_match_scalar_draws(n, r, s):
     # each lane holds the permutations, then the maps, that its stream gives
-    streams = [substream(n, t) for t in range(60)]
-    lanes = Lanes(streams)
+    lanes = Lanes(derive_seeds(n, 0, 60))
     tables = random_tables(n, r, s, lanes)
     assert tables.shape == (60, r + s, n) and tables.dtype == np.intp
     assert not lanes.rejected.any()
-    for stream, rows in zip(streams, tables.tolist()):
+    for t, rows in enumerate(tables.tolist()):
+        stream = substream(n, t)
         gens = [random_permutation(n, stream) for _ in range(r)]
         gens += [random_endofunction(n, stream) for _ in range(s)]
         assert rows == [list(g.images) for g in gens]
