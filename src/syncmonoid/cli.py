@@ -9,6 +9,7 @@ codes: 0 success, 1 domain error (bad file contents, caps, out of memory),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -273,7 +274,10 @@ def _cmd_dixon(args) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process: parsing keeps no state in
+    it, as each call gets a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="syncmonoid",
         description="Synchronizing transformation monoids: exact machinery and experiments.",

@@ -13,9 +13,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .rng import substream
 from .stats import EstimateWithCI, make_estimate
-from .transform import is_permutation, random_permutation
+from .transform import Endofunction, is_permutation, lane_blocks
 
 
 def orbits(perms) -> list[list[int]]:
@@ -111,17 +110,14 @@ def single_permutation_transitive_probability(n: int) -> Fraction:
 
 def monte_carlo_transitive(n: int, pairs: bool, trials: int, seed: int) -> EstimateWithCI:
     """Sampled probability that one (or a pair of) uniform permutation(s)
-    generates a transitive subgroup."""
+    generates a transitive subgroup; trial t draws its permutations from
+    ``substream(seed, t)``, a block of trials at a time."""
     if trials < 1:
         raise ValueError("trials must be at least 1")
     successes = 0
-    for trial in range(trials):
-        stream = substream(seed, trial)
-        gens = [random_permutation(n, stream)]
-        if pairs:
-            gens.append(random_permutation(n, stream))
-        if is_transitive(gens):
-            successes += 1
+    for _, tables in lane_blocks(n, 2 if pairs else 1, 0, seed, 0, trials):
+        for rows in tables.tolist():
+            successes += is_transitive(map(Endofunction, rows))
     return make_estimate(successes, trials)
 
 

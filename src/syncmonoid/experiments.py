@@ -7,21 +7,21 @@ are byte-identical however trials are scheduled.  Within a trial the draw
 order is fixed: the permutation generators first, then the endofunction
 generators.
 
-Trials run in blocks: one ``rng.Lanes`` lane per trial draws the generators
-of the whole block at once (``transform.random_tables``).  The lanes are
-seeded in numpy from (seed, first trial, count), so no scalar stream is
-built for them.  A lane that hit a rejected draw is redone from its own
-``substream(seed, trial)`` by ``_trial_outcome``, the scalar path, which
-is also the oracle for the lanes.  A single map is
-decided for the whole block by repeated squaring.  A mix with a map f is
-first filtered on the periodic points C of f, the image of a power f^J:
-maps "w then f^J", w a short word, lie in the monoid and map every point
-into C, and if a product of them is constant on C, then f^J followed by it
-is constant.  So the filter accepts only synchronizing lanes, most of them
-at a fixpoint over |C|(|C|-1)/2 pairs instead of n(n-1)/2.  The lanes it
-leaves, and every mix without a map, go through the full pair fixpoint in
-numpy batches of ``BATCH_BUDGET`` pair targets, many lanes to a call.
-Either way, verdicts are certified from the generators alone by a
+Trials run in blocks from ``transform.lane_blocks``: one ``rng.Lanes``
+lane per trial draws the generators of the whole block at once, and a
+lane that hit a rejected draw is redrawn there from its own
+``substream(seed, trial)``, so every row of a block is its trial's
+generators, and every trial is decided and certified on its image table.
+A single map is decided for the whole block by repeated squaring.  A mix
+with a map f is first filtered on the periodic points C of f, the image
+of a power f^J: maps "w then f^J", w a short word, lie in the monoid and
+map every point into C, and if a product of them is constant on C, then
+f^J followed by it is constant.  So the filter accepts only synchronizing
+lanes, most of them at a fixpoint over |C|(|C|-1)/2 pairs instead of
+n(n-1)/2.  The lanes it leaves, and every mix without a map, go through
+the full pair fixpoint in numpy batches of ``BATCH_BUDGET`` pair targets,
+many lanes to a call.
+Either way, verdicts are certified from the image table alone by a
 step-by-step fixpoint on one trial: 1% of the synchronizing trials replay
 a reset word built from it, and every trial judged not synchronizing
 shows a nonempty set of pairs that no generator merges or leaves.
@@ -35,7 +35,6 @@ pair fixpoint, one row per tuple.  The brute-force loop over every tuple,
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import os
@@ -60,32 +59,25 @@ from .graphs import (  # bench/tracing.py hooks several of these names here
     hull,
     is_maximal_given,
     is_maximal_nonsynchronizing,
+    pair_arrays,
 )
-from .rng import Lanes, derive_seed, derive_seeds, substream
+from .rng import derive_seed, substream  # bench/tracing.py hooks substream here, not called
 from .stats import EstimateWithCI, make_estimate
-from .sync import (  # bench/tracing.py hooks min_rank_witness here
+from .sync import (  # bench/tracing.py hooks these names here; min_rank_witness is not called
     GeneratorSet,
-    Word,
     is_synchronizing,
     min_rank_witness,
 )
-from .transform import (
+from .transform import (  # bench/tracing.py hooks the three names not called here
     Endofunction,
     has_unique_periodic_point,
+    lane_blocks,
     random_endofunction,
     random_permutation,
-    random_tables,
-    rank,
 )
 
 AUDIT_EVERY = 100  # replay a reset word on 1% of synchronizing trials
 BATCH_BUDGET = 2**15  # pair targets, rows * (r + s) * (pairs + 1), in one fixpoint call
-# Image-table entries, lanes * (r + s) * n, in one block of trials (1 MB of
-# intp), but never fewer than LANE_FLOOR lanes, which wins once n * (r + s) >
-# 2,048: at the PAIR_BUDGET limit, n = 5,793, a block's tables take
-# 64 * 5,793 * 8 B = 2.97 MB per generator.
-LANE_BUDGET = 2**17
-LANE_FLOOR = 64
 MAXIMALITY_MAX_N = 7  # largest n that explore runs the maximality test on
 PAIR_BUDGET = 2**24  # most point pairs n(n-1)/2 of a Monte Carlo run: n <= 5,793
 
@@ -138,29 +130,13 @@ class ExactResult:
 
 
 # ---------------------------------------------------------------------------
-# the pair fixpoint: batched decisions, the scalar path and certificates
-
-
-@functools.lru_cache(maxsize=None)
-def _pair_arrays(n: int):
-    """``graphs.pair_numbering(n)`` as read-only intp arrays: first points,
-    second points (the upper triangle row by row, the same lexicographic
-    order), and the flat n*n pair-index table whose entry a*n + b is the
-    index of pair {a, b}, or the number of pairs (the merged state) when
-    a == b."""
-    first, second = np.triu_indices(n, 1)
-    index = np.full((n, n), first.size, dtype=np.intp)
-    index[first, second] = index[second, first] = np.arange(first.size)
-    arrays = (first, second, index.reshape(-1))
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
+# the pair fixpoint: batched decisions, the single-row oracle and certificates
 
 
 def _pair_targets(n: int, tables) -> np.ndarray:
     """Where each table (..., n) sends each pair: the index of the image
     pair, or the number of pairs when the table merges the pair."""
-    first, second, index = _pair_arrays(n)
+    first, second, index = pair_arrays(n)
     tables = np.asarray(tables, dtype=np.intp)  # in uint8, a * n would wrap
     flat = (tables * n).take(first, axis=-1)
     flat += tables.take(second, axis=-1)  # in place: one fresh array fewer per batch
@@ -210,10 +186,10 @@ def _synchronizing_lanes(n: int, tables) -> np.ndarray:
 
 
 def _all_pairs_collapsible(n: int, image_tables) -> bool:
-    """The pair fixpoint for one generator list, as a single row.  The
-    scalar path, which decides the redone lanes, and the oracle that the
-    batched ``_synchronizing_lanes`` is tested against; equivalent to the
-    backward closure sync.collapsible_pairs (property-tested against it)."""
+    """The pair fixpoint for one generator list, as a single row: the
+    oracle that the batched ``_synchronizing_lanes`` is tested against;
+    equivalent to the backward closure sync.collapsible_pairs
+    (property-tested against it)."""
     return bool(_synchronizing_rows(list(_pair_targets(n, image_tables)[:, None]))[0])
 
 
@@ -240,18 +216,18 @@ def _collapse_steps(n: int, image_tables) -> np.ndarray:
     return steps
 
 
-def _reset_word(gen_set: GeneratorSet) -> tuple[Word, Endofunction]:
-    """Greedy merging along ``_collapse_steps``: while the image has two
-    points, follow the steps from the pair of its two least points down to
-    the merged state.  Returns the word and the map it evaluates to; a pair
-    that never collapsed, or steps that fail to descend (which would loop),
-    raise VerificationError."""
-    n, images = gen_set.n, [g.images for g in gen_set.generators]
+def _reset_word(images) -> list[int]:
+    """Greedy merging along ``_collapse_steps`` on a (k, n) image table:
+    while the image of the word so far has two points, follow the steps
+    from the pair of its two least points down to the merged state, and
+    append the generators taken.  A pair that never collapsed, or steps
+    that fail to descend (which would loop), raise VerificationError."""
+    k, n = images.shape
     steps = _collapse_steps(n, images)
-    index = _pair_arrays(n)[2]
+    index = pair_arrays(n)[2]
+    rows = images.tolist()
     word: list[int] = []
-    current = list(range(n))
-    image = sorted(set(current))
+    image = list(range(n))
     while len(image) > 1:
         v, w = image[:2]
         piece, last = [], math.inf
@@ -262,15 +238,14 @@ def _reset_word(gen_set: GeneratorSet) -> tuple[Word, Endofunction]:
             if step >= last:
                 raise VerificationError(f"pair {{{v},{w}}} collapsed no earlier than its preimage")
             last = step
-            piece.append(step % len(images))
-            g = images[piece[-1]]
+            piece.append(step % k)
+            g = rows[piece[-1]]
             v, w = g[v], g[w]
         for gi in piece:
-            g = images[gi]
-            current = [g[x] for x in current]
+            g = rows[gi]
+            image = sorted({g[x] for x in image})
         word += piece
-        image = sorted(set(current))
-    return tuple(word), Endofunction(current)
+    return word
 
 
 def _cycle_power(maps) -> np.ndarray:
@@ -343,46 +318,25 @@ def _pair_mix_lanes(tables, r: int) -> np.ndarray:
     return sync
 
 
-def _lane_blocks(n: int, r: int, s: int, seed: int, lo: int, hi: int):
-    """Trials lo..hi in blocks of ``max(LANE_FLOOR, LANE_BUDGET // (n * (r + s)))``
-    lanes; yields (first trial, image tables, rejected mask).  Trial t of a
-    rejected lane is redone from ``substream(seed, t)``."""
-    size = max(LANE_FLOOR, LANE_BUDGET // (n * (r + s)))
-    for start in range(lo, hi, size):
-        lanes = Lanes(derive_seeds(seed, start, min(size, hi - start)))
-        yield start, random_tables(n, r, s, lanes), lanes.rejected
-
-
-def _trial_outcome(config: ExperimentConfig, stream) -> tuple[bool, list]:
-    """Run one trial on its fresh stream, one scalar draw at a time; returns
-    (synchronizing, drawn generators).  Redoes rejected lanes, and is the
-    oracle for the lane path."""
-    n = config.n
-    gens = [random_permutation(n, stream) for _ in range(config.num_permutations)]
-    gens += [random_endofunction(n, stream) for _ in range(config.num_endofunctions)]
-    if config.num_permutations == 0 and config.num_endofunctions == 1:
-        # a single endofunction synchronizes iff it has one periodic point
-        return has_unique_periodic_point(gens[0]), gens
-    return _all_pairs_collapsible(n, [g.images for g in gens]), gens
-
-
-def _audit(gens: list) -> None:
-    """Replay a rank-1 certificate for a trial flagged synchronizing."""
-    gen_set = GeneratorSet(gens)
-    word, witness = _reset_word(gen_set)
-    if rank(witness) != 1 or gen_set.evaluate(word) != witness:
+def _audit(images) -> None:
+    """Replay a rank-1 certificate for a trial flagged synchronizing: the
+    ``_reset_word`` of its (k, n) image table, applied to every point in
+    numpy, must leave a single point."""
+    current = np.arange(images.shape[1])
+    for gi in _reset_word(images):
+        current = images[gi].take(current)
+    if (current != current[0]).any():
         raise VerificationError("synchronization certificate replay failed")
 
 
-def _check_stuck(gens: list) -> None:
+def _check_stuck(images) -> None:
     """Certify a trial flagged not synchronizing.  The pairs that
     ``_collapse_steps`` never collapsed must form a nonempty set that no
     generator merges a pair of or maps a pair out of, so that no word
-    merges any of them; checked on the image tables alone, with an n x n
-    stuck matrix whose diagonal (a merged pair) stays False."""
-    n = gens[0].n
-    first, second, _ = _pair_arrays(n)
-    images = np.array([g.images for g in gens], dtype=np.intp)
+    merges any of them; checked on the (k, n) image table alone, with an
+    n x n stuck matrix whose diagonal (a merged pair) stays False."""
+    n = images.shape[1]
+    first, second, _ = pair_arrays(n)
     never = _collapse_steps(n, images) < 0
     v, w = first[never], second[never]
     stuck = np.zeros((n, n), dtype=bool)
@@ -392,28 +346,23 @@ def _check_stuck(gens: list) -> None:
 
 
 def _run_chunk(args) -> int:
-    config = ExperimentConfig(*args[:5])
-    n, r, s = config.n, config.num_permutations, config.num_endofunctions
+    """Successes among trials lo..hi of ``args = (n, r, s, seed, lo, hi)``,
+    every trial decided on its image table and certified as documented
+    above."""
+    n, r, s, seed, lo, hi = args
     successes = 0
-    for start, tables, rejected in _lane_blocks(n, r, s, config.seed, *args[5:7]):
+    for start, tables in lane_blocks(n, r, s, seed, lo, hi):
         if (r, s) == (0, 1):
-            sync = _single_map_synchronizes(tables[:, 0]) & ~rejected
+            sync = _single_map_synchronizes(tables[:, 0])
         else:
-            sync = _pair_mix_lanes(tables, r) & ~rejected
-        redone = {}
-        for i in np.flatnonzero(rejected).tolist():
-            sync[i], redone[i] = _trial_outcome(config, substream(config.seed, start + i))
+            sync = _pair_mix_lanes(tables, r)
         successes += int(np.count_nonzero(sync))
-
-        def gens(i):
-            return redone.get(i) or [Endofunction(row) for row in tables[i].tolist()]
-
         for i in range(-start % AUDIT_EVERY, len(tables), AUDIT_EVERY):
             if sync[i]:
-                _audit(gens(i))
+                _audit(tables[i])
         if (r, s) != (0, 1):
             for i in np.flatnonzero(~sync).tolist():
-                _check_stuck(gens(i))
+                _check_stuck(tables[i])
     return successes
 
 
@@ -421,13 +370,7 @@ def estimate_sync_probability(config: ExperimentConfig, threads: int = 1) -> Est
     """Fraction of trials whose sampled generators produce a synchronizing
     monoid, with a Wilson 95% interval.  Deterministic in (config.seed,
     config.trials) regardless of ``threads``."""
-    base = (
-        config.n,
-        config.num_permutations,
-        config.num_endofunctions,
-        config.trials,
-        config.seed,
-    )
+    base = (config.n, config.num_permutations, config.num_endofunctions, config.seed)
     if threads <= 1:
         successes = _run_chunk(base + (0, config.trials))
     else:
@@ -667,11 +610,8 @@ def edge_graph_experiment(n: int, trials: int, seed: int) -> EdgeGraphReport:
     per_graph = Fraction(2 * n ** (n - 2), n**n) ** 2
     bound = graph_count * per_graph
     successes = 0
-    for start, tables, rejected in _lane_blocks(n, 0, 2, seed, 0, trials):
-        for i, (f, g) in enumerate(tables.tolist()):
-            if rejected[i]:
-                stream = substream(seed, start + i)
-                f, g = (random_endofunction(n, stream).images for _ in range(2))
+    for _, tables in lane_blocks(n, 0, 2, seed, 0, trials):
+        for f, g in tables.tolist():
             if not _setwise_fixed_pairs(f).isdisjoint(_setwise_fixed_pairs(g)):
                 successes += 1
     est = make_estimate(successes, trials)

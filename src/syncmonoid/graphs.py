@@ -137,6 +137,21 @@ def pair_numbering(n: int) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]
     return pairs, offs
 
 
+@functools.lru_cache(maxsize=None)
+def pair_arrays(n: int):
+    """``pair_numbering(n)`` as read-only intp arrays: first points, second
+    points (the same lexicographic order), and the flat n*n pair-index
+    table whose entry a*n + b is the index of pair {a, b}, or the number
+    of pairs n(n-1)/2 (a merged pair) when a == b."""
+    first, second = np.triu_indices(n, 1)
+    index = np.full((n, n), first.size, dtype=np.intp)
+    index[first, second] = index[second, first] = np.arange(first.size)
+    arrays = (first, second, index.reshape(-1))
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 # ---------------------------------------------------------------------------
 # cliques
 
@@ -453,15 +468,9 @@ class EndomorphismPass:
 @functools.lru_cache(maxsize=None)
 def _pair_bits(n: int):
     """``1 << slot`` of the pair {a, b} as an n x n table, with slot
-    m = n(n-1)/2 on the diagonal, and the two points of each pair."""
-    pairs, offs = pair_numbering(n)
-    m = len(pairs)
-    bit = np.array(
-        [[1 << (offs[min(a, b)] + max(a, b) if a != b else m) for b in range(n)] for a in range(n)],
-        dtype=np.int64 if m < 63 else object,
-    )
-    first, second = np.array(pairs, dtype=np.intp).reshape(m, 2).T
-    return bit, first, second
+    m = n(n-1)/2 on the diagonal: int64, or Python ints from m = 63 on."""
+    index = pair_arrays(n)[2].reshape(n, n)
+    return np.left_shift(1, index.astype(np.int64 if n * (n - 1) // 2 < 63 else object))
 
 
 def endomorphism_pass(x: SimpleGraph, cap: int | None = None) -> EndomorphismPass:
@@ -472,7 +481,7 @@ def endomorphism_pass(x: SimpleGraph, cap: int | None = None) -> EndomorphismPas
     n = x.n
     pairs, _ = pair_numbering(n)
     m = len(pairs)
-    bit, first, second = _pair_bits(n)
+    bit, (first, second, _) = _pair_bits(n), pair_arrays(n)
     orbit = np.zeros(m, dtype=bit.dtype)
     live = np.arange(m)  # the pairs that no map so far merges
     count = 0

@@ -10,9 +10,10 @@ seeded in numpy from the seeds the streams would take: ``derive_seeds``
 gives the seeds of the substreams ``index .. index + count - 1`` of a
 master seed, and no scalar ``Stream`` is built.  The lanes draw exactly
 what each ``Stream`` would, except that they cannot redraw a rejected
-value: they flag the lane instead, and the caller redoes that lane from
-its own ``substream``.  The scalar ``Stream``, ``derive_seed`` and
-``substream`` are that redo path and the oracle for the lanes.
+value: they flag the lane instead, and ``transform.lane_blocks`` redraws
+that lane from its own ``substream`` before it hands the block out.  The
+scalar ``Stream``, ``derive_seed`` and ``substream`` are that redo path
+and the oracle for the lanes.
 """
 
 from __future__ import annotations
@@ -67,17 +68,6 @@ class Stream:
             u = self.next_u64()
             if u < threshold:
                 return u % bound
-
-    def integers(self, bound: int, count: int) -> list[int]:
-        """``count`` uniform draws in [0, bound)."""
-        threshold = _threshold(bound)
-        out = []
-        nxt = self.next_u64
-        while len(out) < count:
-            u = nxt()
-            if u < threshold:
-                out.append(u % bound)
-        return out
 
 
 def _threshold(bound: int) -> int:

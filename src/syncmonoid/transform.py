@@ -10,7 +10,10 @@ is handled at the I/O boundary (see formats.py).
 
 ``random_tables`` draws the generators of many trials at once on
 ``rng.Lanes``; each unflagged lane holds exactly what ``random_permutation``
-and ``random_endofunction`` draw from that lane's stream.
+and ``random_endofunction`` draw from that lane's stream.  ``lane_blocks``
+is the one way the experiments draw trials: it redraws every flagged lane
+from its own ``substream``, one scalar draw at a time, so each table it
+hands out is finished.
 """
 
 from __future__ import annotations
@@ -19,7 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import Lanes, Stream
+from .rng import Lanes, Stream, derive_seeds, substream
+
+# Image-table entries, lanes * (r + s) * n, in one block of trials (1 MB of
+# intp), but never fewer than LANE_FLOOR lanes, which wins once n * (r + s) >
+# 2,048: at the Monte Carlo pair budget, n = 5,793, a block's tables take
+# 64 * 5,793 * 8 B = 2.97 MB per generator.
+LANE_BUDGET = 2**17
+LANE_FLOOR = 64
 
 
 class Endofunction:
@@ -171,7 +181,7 @@ def random_endofunction(n: int, stream: Stream) -> Endofunction:
     """Uniform over all n**n maps."""
     if n < 1:
         raise ValueError("degree must be at least 1")
-    return Endofunction(stream.integers(n, n))
+    return Endofunction([stream.randbelow(n) for _ in range(n)])
 
 
 def random_permutation(n: int, stream: Stream) -> Endofunction:
@@ -207,3 +217,24 @@ def random_tables(n: int, num_permutations: int, num_endofunctions: int, lanes: 
         for v in range(n):
             out[:, g, v] = lanes.randbelow(n)
     return out
+
+
+def lane_blocks(n: int, r: int, s: int, seed: int, lo: int, hi: int):
+    """Trials lo..hi of ``seed`` in blocks of ``max(LANE_FLOOR, LANE_BUDGET //
+    (n * (r + s)))`` lanes; yields (first trial, image tables), where row i
+    of the tables holds the r permutations and then the s maps that
+    ``random_permutation`` and ``random_endofunction`` draw from
+    ``substream(seed, first + i)``.  ``random_tables`` draws the block, and
+    each lane flagged in ``Lanes.rejected`` is redrawn from its substream."""
+    if n < 1:
+        raise ValueError("degree must be at least 1")
+    size = max(LANE_FLOOR, LANE_BUDGET // (n * (r + s)))
+    for start in range(lo, hi, size):
+        lanes = Lanes(derive_seeds(seed, start, min(size, hi - start)))
+        tables = random_tables(n, r, s, lanes)
+        for i in np.flatnonzero(lanes.rejected).tolist():
+            stream = substream(seed, start + i)
+            gens = [random_permutation(n, stream) for _ in range(r)]
+            gens += [random_endofunction(n, stream) for _ in range(s)]
+            tables[i] = [g.images for g in gens]
+        yield start, tables

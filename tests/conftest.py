@@ -1,8 +1,10 @@
 """Shared corpus and brute-force oracles used across test modules."""
 
+import numpy as np
 import pytest
 
 from syncmonoid import Endofunction, GeneratorSet, random_endofunction, substream
+from syncmonoid.rng import Lanes
 
 
 CORPUS_SEED = 0x5EED
@@ -34,3 +36,18 @@ def cerny4():
     a = Endofunction.from_one_based([2, 3, 4, 1])
     b = Endofunction.from_one_based([2, 2, 3, 4])
     return GeneratorSet([a, b])
+
+
+def flaky_randbelow(monkeypatch):
+    """Make Lanes.randbelow flag every third lane and spoil its value, as a
+    rejected draw would."""
+    original = Lanes.randbelow
+
+    def flaky(self, bound):
+        values = original(self, bound)
+        spoiled = np.arange(values.shape[0]) % 3 == 1
+        self.rejected |= spoiled
+        values[spoiled] = bound - 1
+        return values
+
+    monkeypatch.setattr(Lanes, "randbelow", flaky)

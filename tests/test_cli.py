@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import syncmonoid
-from syncmonoid import cli, dixon, experiments
+from syncmonoid import cli, dixon, experiments, transform
 from syncmonoid.cli import main
 from syncmonoid.experiments import explore_maximal_nonsync
 from syncmonoid.formats import parse_graph
@@ -88,6 +88,37 @@ class TestMapCommands:
         code, out, _ = run(capsys, ["word", "--maps", str(path)])
         assert code == 0
         assert json.loads(out) == {"word": None, "length": None}
+
+
+class TestParserReuse:
+    """``main`` parses every call with the one parser ``build_parser`` keeps
+    per process, so no call may leave state in it for the next."""
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_calls_share_no_state(self, capsys, cerny_file, tmp_path):
+        # on these two maps the greedy word, 2 1 2, is longer than the shortest, 1 2
+        maps = tmp_path / "greedy_longer.tm"
+        maps.write_text("3 4 4 3\n3 2 1 1\n")
+        target = tmp_path / "result.json"
+        sequence = [
+            ["sync", "--maps", cerny_file, "--out", str(target)],
+            ["sync", "--maps", cerny_file],
+            ["word", "--maps", str(maps), "--shortest"],
+            ["word", "--maps", str(maps)],
+        ]
+        shared = [run(capsys, argv) for argv in sequence]
+        assert shared[0][1] == "" and json.loads(target.read_text()) == {"synchronizing": True}
+        assert json.loads(shared[1][1]) == {"synchronizing": True}
+        assert json.loads(shared[2][1]) == {"word": [1, 2], "length": 2}
+        assert json.loads(shared[3][1]) == {"word": [2, 1, 2], "length": 3}
+        # each call alone, on a parser built for it, gives the same output
+        fresh = []
+        for argv in sequence:
+            cli.build_parser.cache_clear()
+            fresh.append(run(capsys, argv))
+        assert shared == fresh
 
 
 class TestGraphCommands:
@@ -322,8 +353,8 @@ class TestExperimentsCommands:
                     ["sweep", "--n", "3,7,12", "--trials", "150", *mix]]
         outputs = set()
         for budget, floor in [(1, 1), (2**15, 64), (2**20, 64)]:
-            monkeypatch.setattr(experiments, "LANE_BUDGET", budget)
-            monkeypatch.setattr(experiments, "LANE_FLOOR", floor)
+            monkeypatch.setattr(transform, "LANE_BUDGET", budget)
+            monkeypatch.setattr(transform, "LANE_FLOOR", floor)
             for threads in ("1", "2"):
                 texts = []
                 for argv in commands:
@@ -377,12 +408,10 @@ class TestErrorHandling:
         assert "32 endomorphisms" in err
 
     def test_failed_certificate_exits_3(self, capsys, monkeypatch):
-        # a corrupted reset word; trials 0 and 100 are audited if they synchronize
-        from syncmonoid import Endofunction, experiments
+        # an empty reset word; trials 0 and 100 are audited if they synchronize
+        from syncmonoid import experiments
 
-        monkeypatch.setattr(
-            experiments, "_reset_word", lambda gens: ((), Endofunction(range(gens.n)))
-        )
+        monkeypatch.setattr(experiments, "_reset_word", lambda images: [])
         argv = ["estimate", "--n", "4", "--k", "2", "--trials", "101", "--seed", "77"]
         code, _, err = run(capsys, argv)
         assert code == 3
@@ -439,7 +468,7 @@ class TestErrorHandling:
         def never(*args, **kwargs):
             raise AssertionError("built or ran past the pair budget")
 
-        monkeypatch.setattr(experiments, "_pair_arrays", never)
+        monkeypatch.setattr(experiments, "pair_arrays", never)
         monkeypatch.setattr(experiments, "estimate_sync_probability", never)
         monkeypatch.setattr(cli, "estimate_sync_probability", never)
         argv = [command, "--n", n, "--perms", perms, "--maps-count", maps,

@@ -6,6 +6,9 @@ import pytest
 
 from syncmonoid import (
     Endofunction,
+    make_estimate,
+    random_permutation,
+    substream,
     intransitive_union_bound,
     is_transitive,
     monte_carlo_transitive,
@@ -14,6 +17,9 @@ from syncmonoid import (
     transitive_pair_counts,
     transitive_pair_probability,
 )
+
+
+from conftest import flaky_randbelow
 
 
 def perms(n):
@@ -123,6 +129,21 @@ class TestMonteCarlo:
     def test_single_brackets_one_over_n(self):
         est = monte_carlo_transitive(20, False, 20_000, seed=10)
         assert est.ci_low <= 1 / 20 <= est.ci_high
+
+    @pytest.mark.parametrize("forced", [False, True])
+    @pytest.mark.parametrize("pairs", [False, True])
+    @pytest.mark.parametrize("n", [1, 2, 6, 20])
+    def test_blocks_equal_the_scalar_loop(self, monkeypatch, forced, pairs, n):
+        # the one-trial-at-a-time loop the blocks replaced; forced rejections
+        # flag every third lane, which the blocks redraw from its substream
+        successes = 0
+        for trial in range(300):
+            stream = substream(8, trial)
+            gens = [random_permutation(n, stream) for _ in range(2 if pairs else 1)]
+            successes += is_transitive(gens)
+        if forced:
+            flaky_randbelow(monkeypatch)
+        assert monte_carlo_transitive(n, pairs, 300, seed=8) == make_estimate(successes, 300)
 
     def test_deterministic(self):
         a = monte_carlo_transitive(6, True, 500, seed=3)

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import itertools
 import json
 import math
@@ -27,12 +29,14 @@ from syncmonoid import (
     hull,
     is_endomorphism,
     is_synchronizing,
+    monte_carlo_transitive,
     random_endofunction,
+    random_permutation,
     substream,
     sweep,
     wilson_interval,
 )
-from syncmonoid import experiments
+from syncmonoid import cli, dixon, experiments, transform
 from syncmonoid.cli import main
 from syncmonoid.errors import VerificationError
 from syncmonoid.experiments import (
@@ -42,14 +46,12 @@ from syncmonoid.experiments import (
     _graph_record,
     _map_classes,
     _map_table,
-    _pair_arrays,
     _pair_targets,
     _partition_count,
     _pool_targets,
     _synchronizing_rows,
-    _trial_outcome,
 )
-from syncmonoid.graphs import pair_numbering
+from syncmonoid.graphs import pair_arrays, pair_numbering
 from syncmonoid.rng import Lanes, derive_seeds
 from syncmonoid.stats import make_estimate
 from syncmonoid.sync import (
@@ -58,9 +60,30 @@ from syncmonoid.sync import (
     separation_graph,
     separation_graph_of_elements,
 )
-from syncmonoid.transform import periodicity, random_tables, rank
+from syncmonoid.transform import lane_blocks, periodicity, random_tables, rank
 
-from conftest import build_instances
+from conftest import build_instances, flaky_randbelow
+
+
+def _scalar_draws(n: int, r: int, s: int, stream) -> list:
+    """A trial's generators, drawn one value at a time from its own stream:
+    r permutations, then s maps."""
+    gens = [random_permutation(n, stream) for _ in range(r)]
+    return gens + [random_endofunction(n, stream) for _ in range(s)]
+
+
+def _trial_outcome(n: int, r: int, s: int, stream) -> tuple[bool, list]:
+    """The scalar oracle of one Monte Carlo trial: its ``_scalar_draws`` and
+    the verdict of the witness closure of ``sync``, which shares no code
+    with the pair fixpoint.  Returns (synchronizing, drawn generators)."""
+    gens = _scalar_draws(n, r, s, stream)
+    return is_synchronizing(GeneratorSet(gens)), gens
+
+
+def _table(gens) -> np.ndarray:
+    """A generator list as the (k, n) image table the Monte Carlo path
+    decides and certifies."""
+    return np.array([g.images for g in gens], dtype=np.intp)
 
 
 class TestConfig:
@@ -318,40 +341,45 @@ class TestEstimate:
         assert _all_pairs_collapsible(1, [(0,)])
 
 
-def _flaky_randbelow(monkeypatch):
-    """Make Lanes.randbelow flag every third lane and spoil its value, as a
-    rejected draw would."""
-    original = Lanes.randbelow
-
-    def flaky(self, bound):
-        values = original(self, bound)
-        spoiled = np.arange(values.shape[0]) % 3 == 1
-        self.rejected |= spoiled
-        values[spoiled] = bound - 1
-        return values
-
-    monkeypatch.setattr(Lanes, "randbelow", flaky)
-
-
 class TestLanePath:
-    """The block path (lane draws, squaring, fallback) against the scalar
-    ``_trial_outcome``."""
+    """The block path (lane draws with redrawn lanes, squaring, the pair
+    fixpoint) against the scalar ``_trial_outcome``."""
+
+    @pytest.mark.parametrize("r, s", [(0, 1), (1, 1), (0, 2), (2, 1)])
+    def test_every_row_equals_its_substream_draws(self, monkeypatch, r, s):
+        # trials 5..250 in blocks of 64, every third lane of a block rejected
+        built = []
+
+        def counting(seed, index):
+            built.append(index)
+            return substream(seed, index)
+
+        monkeypatch.setattr(transform, "substream", counting)
+        monkeypatch.setattr(transform, "LANE_BUDGET", 6 * (r + s) * 64)
+        flaky_randbelow(monkeypatch)
+        starts = []
+        for start, tables in lane_blocks(6, r, s, 19, 5, 250):
+            starts.append(start)
+            assert tables.shape[1:] == (r + s, 6) and tables.dtype == np.intp
+            for i, rows in enumerate(tables.tolist()):
+                gens = _scalar_draws(6, r, s, substream(19, start + i))
+                assert rows == [list(g.images) for g in gens]
+        assert starts == [5, 69, 133, 197]
+        assert built == [t for t in range(5, 250) if (t - 5) % 64 % 3 == 1]
 
     @pytest.mark.parametrize("r, s", [(0, 1), (1, 1), (0, 2), (2, 1)])
     def test_fallback_rows_equal_scalar_draws(self, monkeypatch, r, s):
         config = ExperimentConfig(6, r, s, 250, seed=19)
         expected = []
         for trial in range(config.trials):
-            ok, gens = _trial_outcome(config, substream(config.seed, trial))
+            ok, gens = _trial_outcome(6, r, s, substream(config.seed, trial))
             if ok:
-                expected.append([g.images for g in gens])
+                expected.append([list(g.images) for g in gens])
         audited = []
         monkeypatch.setattr(experiments, "AUDIT_EVERY", 1)
-        monkeypatch.setattr(experiments, "LANE_BUDGET", 6 * (r + s) * 64)  # blocks of 64
-        monkeypatch.setattr(
-            experiments, "_audit", lambda gens: audited.append([g.images for g in gens])
-        )
-        _flaky_randbelow(monkeypatch)
+        monkeypatch.setattr(transform, "LANE_BUDGET", 6 * (r + s) * 64)  # blocks of 64
+        monkeypatch.setattr(experiments, "_audit", lambda images: audited.append(images.tolist()))
+        flaky_randbelow(monkeypatch)
         est = estimate_sync_probability(config)
         # every synchronizing trial is audited, with the scalar stream's maps
         assert est.successes == len(expected)
@@ -364,29 +392,38 @@ class TestLanePath:
             built.append(index)
             return substream(seed, index)
 
-        monkeypatch.setattr(experiments, "substream", counting)
+        monkeypatch.setattr(transform, "substream", counting)
         config = ExperimentConfig(6, 1, 1, 250, seed=19)
         estimate_sync_probability(config)
         edge_graph_experiment(4, 250, seed=19)
+        monte_carlo_transitive(6, True, 250, seed=19)
         assert built == []
-        monkeypatch.setattr(experiments, "LANE_BUDGET", 6 * 2 * 64)  # blocks of 64
-        _flaky_randbelow(monkeypatch)
+        monkeypatch.setattr(transform, "LANE_BUDGET", 6 * 2 * 64)  # blocks of 64
+        flaky_randbelow(monkeypatch)
         estimate_sync_probability(config)
         # the flaky draws flag every third lane of each block, from its second on
         assert built == [t for t in range(250) if t % 64 % 3 == 1]
 
+    def test_only_transform_redraws_rejected_lanes(self):
+        # the experiments take finished tables: none reads the rejection
+        # mask or builds a substream (it may import the name for the tracer)
+        for module in (experiments, dixon, cli):
+            for node in ast.walk(ast.parse(inspect.getsource(module))):
+                assert not (isinstance(node, ast.Attribute) and node.attr == "rejected")
+                if isinstance(node, ast.Call):
+                    assert getattr(node.func, "id", getattr(node.func, "attr", None)) != "substream"
+
     def test_edge_graph_fallback_matches_lanes(self, monkeypatch):
         plain = edge_graph_experiment(4, 500, seed=9).estimate
-        monkeypatch.setattr(experiments, "LANE_BUDGET", 4 * 2 * 64)  # blocks of 64
-        _flaky_randbelow(monkeypatch)
+        monkeypatch.setattr(transform, "LANE_BUDGET", 4 * 2 * 64)  # blocks of 64
+        flaky_randbelow(monkeypatch)
         assert edge_graph_experiment(4, 500, seed=9).estimate == plain
 
     @pytest.mark.parametrize("n", range(1, 41))
     def test_single_map_decision_matches_scalar(self, n):
-        config = ExperimentConfig(n, 0, 1, 1, seed=n)
         maps = random_tables(n, 0, 1, Lanes(derive_seeds(n, 0, 64)))[:, 0]
         decided = experiments._single_map_synchronizes(maps)
-        assert decided.tolist() == [_trial_outcome(config, substream(n, t))[0] for t in range(64)]
+        assert decided.tolist() == [_trial_outcome(n, 0, 1, substream(n, t))[0] for t in range(64)]
         # a path into a fixed point has the longest tail, n - 1 steps; a
         # 2-cycle at its end never collapses
         path = [max(v - 1, 0) for v in range(n)]
@@ -402,28 +439,35 @@ class TestLanePath:
         # blocks of 1092 and 409 lanes; two chunks split the trials elsewhere.
         # The default budget would hold each run in one block; the forked
         # workers inherit the patched one.
-        monkeypatch.setattr(experiments, "LANE_BUDGET", 2**15)
+        monkeypatch.setattr(transform, "LANE_BUDGET", 2**15)
         config = ExperimentConfig(n, r, s, trials, seed=23)
-        assert trials % max(1, experiments.LANE_BUDGET // (n * (r + s)))
+        assert trials % max(1, transform.LANE_BUDGET // (n * (r + s)))
         assert estimate_sync_probability(config, threads=1) == estimate_sync_probability(
             config, threads=2
         )
 
     def test_blocks_never_drop_below_the_lane_floor(self):
         # at n = 5,120 the budget alone would give 25 lanes to a block
-        assert experiments.LANE_BUDGET // 5120 < experiments.LANE_FLOOR == 64
-        blocks = experiments._lane_blocks(5120, 0, 1, 7, 0, 130)
-        assert [(start, tables.shape, rejected.shape) for start, tables, rejected in blocks] == [
-            (0, (64, 1, 5120), (64,)), (64, (64, 1, 5120), (64,)), (128, (2, 1, 5120), (2,))
+        assert transform.LANE_BUDGET // 5120 < transform.LANE_FLOOR == 64
+        blocks = lane_blocks(5120, 0, 1, 7, 0, 130)
+        assert [(start, tables.shape) for start, tables in blocks] == [
+            (0, (64, 1, 5120)), (64, (64, 1, 5120)), (128, (2, 1, 5120))
         ]
+
+    def test_blocks_refuse_a_degree_below_one(self):
+        with pytest.raises(ValueError, match="degree"):
+            next(lane_blocks(0, 0, 1, 7, 0, 10))
 
     @pytest.mark.parametrize("floor", [64, 2])
     def test_large_n_stdout_equals_scalar_oracle(self, monkeypatch, capsys, floor):
-        # one block of five lanes under the floor, or blocks of 2, 2 and 1
-        monkeypatch.setattr(experiments, "LANE_FLOOR", floor)
+        # one block of five lanes under the floor, or blocks of 2, 2 and 1.
+        # The scalar draws are decided by the single-row fixpoint: the
+        # witness closure would take about 17 s a trial at this n.
+        monkeypatch.setattr(transform, "LANE_FLOOR", floor)
         config = ExperimentConfig(2000, 0, 2, 5, seed=11)
         successes = sum(
-            _trial_outcome(config, substream(config.seed, t))[0] for t in range(config.trials)
+            _all_pairs_collapsible(2000, _table(_scalar_draws(2000, 0, 2, substream(11, t))))
+            for t in range(config.trials)
         )
         record = experiments.estimate_record("estimate", config, make_estimate(successes, 5))
         argv = ["estimate", "--n", "2000", "--perms", "0", "--maps-count", "2",
@@ -433,10 +477,10 @@ class TestLanePath:
 
     @pytest.mark.parametrize("r, s, n", [(0, 1, 9), (2, 1, 9), (0, 3, 6)])
     def test_block_path_matches_scalar_oracle(self, monkeypatch, r, s, n):
-        monkeypatch.setattr(experiments, "LANE_BUDGET", n * (r + s) * 100)  # blocks of 100
+        monkeypatch.setattr(transform, "LANE_BUDGET", n * (r + s) * 100)  # blocks of 100
         config = ExperimentConfig(n, r, s, 1234, seed=5)
         successes = sum(
-            _trial_outcome(config, substream(config.seed, t))[0] for t in range(config.trials)
+            _trial_outcome(n, r, s, substream(config.seed, t))[0] for t in range(config.trials)
         )
         assert estimate_sync_probability(config).successes == successes
 
@@ -461,7 +505,7 @@ class TestBatchedPairPath:
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_pair_arrays_follow_pair_numbering(self, n):
-        first, second, index = _pair_arrays(n)
+        first, second, index = pair_arrays(n)
         pairs, _ = pair_numbering(n)
         assert list(zip(first.tolist(), second.tolist())) == list(pairs)
         table = index.reshape(n, n)
@@ -535,9 +579,8 @@ def _certificate_corpus():
     """Generator lists on 1 to 7 points, drawn for several mixes."""
     for n in range(1, 8):
         for r, s in [(0, 1), (0, 2), (1, 1), (2, 0), (0, 3), (1, 2)]:
-            config = ExperimentConfig(n, r, s, 1, seed=n)
             for t in range(12):
-                yield _trial_outcome(config, substream(100 * n + 10 * r + s, t))[1]
+                yield _scalar_draws(n, r, s, substream(100 * n + 10 * r + s, t))
 
 
 class TestCertificates:
@@ -560,27 +603,41 @@ class TestCertificates:
             gen_set = GeneratorSet(gens)
             sync = is_synchronizing(gen_set)
             verdicts.add(sync)
+            table = _table(gens)
             if sync:
-                word, witness = experiments._reset_word(gen_set)
-                assert rank(witness) == 1 and gen_set.evaluate(word) == witness
-                experiments._audit(gens)
+                word = experiments._reset_word(table)
+                assert rank(gen_set.evaluate(tuple(word))) == 1
+                experiments._audit(table)
                 with pytest.raises(VerificationError):
-                    experiments._check_stuck(gens)
+                    experiments._check_stuck(table)
             else:
                 with pytest.raises(VerificationError, match="never collapsed"):
-                    experiments._audit(gens)
-                experiments._check_stuck(gens)
+                    experiments._audit(table)
+                experiments._check_stuck(table)
         assert verdicts == {True, False}
+
+    def test_audit_rejects_a_word_that_does_not_reset(self, monkeypatch):
+        # the replay in numpy, not the greedy walk, decides the audit
+        reset_word = experiments._reset_word
+        monkeypatch.setattr(experiments, "_reset_word", lambda images: reset_word(images)[:-1])
+        tested = 0
+        for gens in _certificate_corpus():
+            table = _table(gens)
+            if is_synchronizing(GeneratorSet(gens)) and reset_word(table):
+                with pytest.raises(VerificationError, match="replay failed"):
+                    experiments._audit(table)
+                tested += 1
+        assert tested
 
     def test_every_non_synchronizing_pair_trial_is_checked(self, monkeypatch):
         checked = []
-        monkeypatch.setattr(experiments, "_check_stuck", lambda gens: checked.append(gens))
-        _flaky_randbelow(monkeypatch)  # rejected lanes included
+        monkeypatch.setattr(experiments, "_check_stuck", lambda images: checked.append(images))
+        flaky_randbelow(monkeypatch)  # rejected lanes included
         config = ExperimentConfig(5, 1, 1, 300, seed=12)
         est = estimate_sync_probability(config)
-        outcomes = [_trial_outcome(config, substream(config.seed, t)) for t in range(300)]
-        expected = [[g.images for g in gens] for ok, gens in outcomes if not ok]
-        assert [[g.images for g in gens] for gens in checked] == expected
+        outcomes = [_trial_outcome(5, 1, 1, substream(config.seed, t)) for t in range(300)]
+        expected = [[list(g.images) for g in gens] for ok, gens in outcomes if not ok]
+        assert [images.tolist() for images in checked] == expected
         assert est.successes == config.trials - len(expected)
 
 
@@ -595,7 +652,7 @@ class TestCertificates:
             marked[np.flatnonzero(real >= 0)[-1]] = -1  # one collapsible pair, never collapsed
             monkeypatch.setattr(experiments, "_collapse_steps", lambda n, images: marked)
             with pytest.raises(VerificationError, match="non-synchronization certificate"):
-                experiments._check_stuck(gens)
+                experiments._check_stuck(_table(gens))
             tested += 1
         assert tested
 
@@ -607,12 +664,10 @@ class TestClosureCorpus:
         verdicts = set()
         for r, s in FILTER_MIXES:
             for n in range(1, 7):
-                config = ExperimentConfig(n, r, s, 1, seed=n)
                 drawn = [
-                    _trial_outcome(config, substream(1000 * n + 10 * r + s, t))[1]
-                    for t in range(10)
+                    _scalar_draws(n, r, s, substream(1000 * n + 10 * r + s, t)) for t in range(10)
                 ]
-                tables = np.array([[g.images for g in gens] for gens in drawn], dtype=np.intp)
+                tables = np.array([_table(gens) for gens in drawn])
                 decided = experiments._pair_mix_lanes(tables, r).tolist()
                 for gens, sync in zip(drawn, decided):
                     closure = monoid_closure(GeneratorSet(gens))
@@ -843,7 +898,7 @@ class TestSweep:
             raise AssertionError("a row ran before the refusal")
 
         monkeypatch.setattr(experiments, "estimate_sync_probability", never)
-        monkeypatch.setattr(experiments, "_pair_arrays", never)
+        monkeypatch.setattr(experiments, "pair_arrays", never)
         with pytest.raises(ValueError, match="pair"):
             sweep([4, 5, 5794], self.CONFIG, seed=1)
 
@@ -855,9 +910,16 @@ class TestSweep:
 
 
 class TestAudit:
-    def test_certificates_replay_on_audited_trials(self):
-        # trial indices divisible by 100 replay a full min-rank certificate;
-        # a run over several audited trials exercising that path must pass
+    def test_certificates_replay_on_audited_trials(self, monkeypatch):
+        # trial indices divisible by 100 replay a reset word on their own
+        # image table, when they synchronize; the real audit runs and passes
+        audited = []
+        audit = experiments._audit
+        monkeypatch.setattr(experiments, "_audit",
+                            lambda images: audited.append(images.tolist()) or audit(images))
         config = ExperimentConfig(4, 0, 2, 101, seed=77)
         est = estimate_sync_probability(config)
         assert est.trials == 101
+        outcomes = [_trial_outcome(4, 0, 2, substream(77, t)) for t in (0, 100)]
+        expected = [[list(g.images) for g in gens] for ok, gens in outcomes if ok]
+        assert audited == expected and expected

@@ -533,3 +533,16 @@ class TestEnumeration:
         pairs, offs = pair_numbering(n)
         assert list(pairs) == [(v, w) for v in range(n) for w in range(v + 1, n)]
         assert [offs[v] + w for v, w in pairs] == list(range(len(pairs)))
+
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_pair_bits_are_one_shifted_by_the_pair_index(self, n):
+        # int64 through 11 points (55 slots and the diagonal), Python ints
+        # from 12 points on, where the diagonal slot 66 would overflow
+        pairs, offs = pair_numbering(n)
+        m = len(pairs)
+        bit = graphs._pair_bits(n)
+        expected = [[1 << (offs[min(a, b)] + max(a, b) if a != b else m) for b in range(n)]
+                    for a in range(n)]
+        assert bit.dtype == (np.int64 if m < 63 else object)
+        assert bit.tolist() == expected
+        assert all(type(v) is int for row in bit.tolist() for v in row)

@@ -36,12 +36,6 @@ def test_randbelow_roughly_uniform():
         assert abs(counts[value] - 10_000) < 400
 
 
-def test_integers_matches_randbelow():
-    a = Stream(4242)
-    b = Stream(4242)
-    assert a.integers(10, 50) == [b.randbelow(10) for _ in range(50)]
-
-
 def test_substreams_are_independent_of_order():
     first = [substream(5, i).next_u64() for i in range(10)]
     second = [substream(5, i).next_u64() for i in reversed(range(10))]
@@ -55,9 +49,8 @@ def test_substreams_do_not_collide():
 
 @pytest.mark.parametrize("draw", [
     lambda bound: Stream(1).randbelow(bound),
-    lambda bound: Stream(1).integers(bound, 3),
     lambda bound: Lanes([1, 2]).randbelow(bound),
-], ids=["randbelow", "integers", "lanes"])
+], ids=["randbelow", "lanes"])
 def test_bounds_above_two_to_the_64_are_refused(draw):
     # every 64-bit draw would be rejected: the loop would never end
     with pytest.raises(ValueError):
