@@ -92,13 +92,13 @@ def transitive_pair_probability(n: int) -> Fraction:
 
 def intransitive_union_bound(n: int) -> Fraction:
     """Union bound: probability that a pair lies in some maximal intransitive
-    subgroup S_k x S_{n-k}, summed over 1 <= k <= n/2."""
+    subgroup S_k x S_{n-k}, summed over 1 <= k <= n/2.
+
+    Each of the C(n, k) such subgroups holds a pair with probability
+    (k! (n-k)! / n!)^2 = 1/C(n, k)^2, so the term for k is 1/C(n, k)."""
     if n < 2:
         raise ValueError("n must be at least 2")
-    total = 0
-    for k in range(1, n // 2 + 1):
-        total += math.comb(n, k) * math.factorial(k) ** 2 * math.factorial(n - k) ** 2
-    return Fraction(total, math.factorial(n) ** 2)
+    return sum((Fraction(1, math.comb(n, k)) for k in range(1, n // 2 + 1)), Fraction(0))
 
 
 def single_permutation_transitive_probability(n: int) -> Fraction:

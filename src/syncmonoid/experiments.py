@@ -8,10 +8,10 @@ order is fixed: the permutation generators first, then the endofunction
 generators.
 
 Trials run in blocks from ``transform.lane_blocks``: one ``rng.Lanes``
-lane per trial draws the generators of the whole block at once, and a
-lane that hit a rejected draw is redrawn there from its own
-``substream(seed, trial)``, so every row of a block is its trial's
-generators, and every trial is decided and certified on its image table.
+lane per trial draws the generators of the whole block at once, exactly
+as the trial's own ``substream(seed, trial)`` would, so every row of a
+block is its trial's generators, and every trial is decided and certified
+on its image table.
 A single map is decided for the whole block by repeated squaring.  A mix
 with a map f is first filtered on the periodic points C of f, the image
 of a power f^J: maps "w then f^J", w a short word, lie in the monoid and
@@ -716,8 +716,8 @@ def _graph_record(x: SimpleGraph, end_cap: int) -> dict:
                     record["maximal"] = is_maximal_given(x, ends.orbits, cap=end_cap)
                 except CapExceeded as exc:
                     record["skips"].append(f"maximal: {exc}")
-    y = derived_graph(x)
-    if y != x:
+    if not cond.every_edge_in_max_clique:  # else derived_graph(x) == x
+        y = derived_graph(x)
         # The cheap tests first, then hull(y) from one pass over End(y), and
         # the two End counts last.  hull(y) == x needs x to be its own hull:
         # no endomorphism of y sends a pair it never merges to one it merges,

@@ -8,12 +8,10 @@ All arithmetic is fixed 64-bit, independent of platform and interpreter.
 ``Lanes`` runs many streams at once, one numpy ``uint64`` lane per stream,
 seeded in numpy from the seeds the streams would take: ``derive_seeds``
 gives the seeds of the substreams ``index .. index + count - 1`` of a
-master seed, and no scalar ``Stream`` is built.  The lanes draw exactly
-what each ``Stream`` would, except that they cannot redraw a rejected
-value: they flag the lane instead, and ``transform.lane_blocks`` redraws
-that lane from its own ``substream`` before it hands the block out.  The
-scalar ``Stream``, ``derive_seed`` and ``substream`` are that redo path
-and the oracle for the lanes.
+master seed, and no scalar ``Stream`` is built.  Each lane draws exactly
+what its ``Stream`` draws: a lane whose bounded draw is rejected steps
+again, alone, until it is accepted.  The scalar ``Stream``, ``derive_seed``
+and ``substream`` are the public one-trial API and the oracle for the lanes.
 """
 
 from __future__ import annotations
@@ -95,12 +93,10 @@ class Lanes:
     Lane i starts in the state of ``Stream(seeds[i])``: the same four
     SplitMix64 rounds, on the whole array.  ``seeds`` is a ``uint64`` array,
     as ``derive_seeds`` gives it, or any sequence of ints, taken mod 2**64
-    as ``Stream`` takes them.  ``rejected`` marks every lane that drew a
-    value its scalar stream would have rejected; from that draw on the lane
-    no longer follows its stream, and its values must be redrawn from it.
+    as ``Stream`` takes them.
     """
 
-    __slots__ = ("_state", "rejected")
+    __slots__ = ("_state",)
 
     def __init__(self, seeds):
         if not isinstance(seeds, np.ndarray):
@@ -110,11 +106,15 @@ class Lanes:
         for _ in range(4):
             sm += np.uint64(_GOLDEN)
             self._state.append(_mix64_lanes(sm))
-        self.rejected = np.zeros(sm.shape[0], dtype=bool)
 
-    def next_u64(self):
-        """One xoshiro256** step on every lane; a new ``uint64`` array."""
-        s0, s1, s2, s3 = self._state
+    def __len__(self):
+        return self._state[0].shape[0]
+
+    def next_u64(self, lanes=None):
+        """One xoshiro256** step on every lane, or only on the lanes that the
+        index array ``lanes`` names; a new ``uint64`` array."""
+        state = self._state if lanes is None else [word[lanes] for word in self._state]
+        s0, s1, s2, s3 = state
         result = _rotl_lanes(s1 * np.uint64(5), 7) * np.uint64(9)
         t = s1 << np.uint64(17)
         s2 ^= s0
@@ -122,16 +122,24 @@ class Lanes:
         s1 ^= s2
         s0 ^= s3
         s2 ^= t
-        self._state[3] = _rotl_lanes(s3, 45)
+        state[3] = _rotl_lanes(s3, 45)
+        if lanes is not None:
+            for word, stepped in zip(self._state, state):
+                word[lanes] = stepped
         return result
 
     def randbelow(self, bound: int):
-        """``u % bound`` on every lane, flagging in ``rejected`` the lanes
-        whose scalar stream would reject ``u`` and draw again."""
+        """``Stream.randbelow(bound)`` on every lane: a lane whose draw is
+        rejected draws again, alone, until it is accepted."""
         threshold = _threshold(bound)
         u = self.next_u64()
         if threshold < 1 << 64:  # else bound divides 2**64: nothing is rejected
-            self.rejected |= u >= np.uint64(threshold)
+            limit = np.uint64(threshold)
+            rejected = u >= limit
+            while rejected.any():
+                lanes = np.flatnonzero(rejected)
+                u[lanes] = self.next_u64(lanes)
+                rejected = u >= limit
         return u % np.uint64(bound) if bound < 1 << 64 else u
 
 

@@ -9,11 +9,9 @@ Points are 0-based internally; the 1-based convention of the file formats
 is handled at the I/O boundary (see formats.py).
 
 ``random_tables`` draws the generators of many trials at once on
-``rng.Lanes``; each unflagged lane holds exactly what ``random_permutation``
-and ``random_endofunction`` draw from that lane's stream.  ``lane_blocks``
-is the one way the experiments draw trials: it redraws every flagged lane
-from its own ``substream``, one scalar draw at a time, so each table it
-hands out is finished.
+``rng.Lanes``; each lane holds exactly what ``random_permutation`` and
+``random_endofunction`` draw from that lane's stream.  ``lane_blocks``, the
+one way the experiments draw trials, runs it over seeded lanes.
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import Lanes, Stream, derive_seeds, substream
+from .rng import Lanes, Stream, derive_seeds
 
 # Image-table entries, lanes * (r + s) * n, in one block of trials (1 MB of
 # intp), but never fewer than LANE_FLOOR lanes, which wins once n * (r + s) >
@@ -199,10 +197,10 @@ def random_tables(n: int, num_permutations: int, num_endofunctions: int, lanes: 
     """Image tables of shape (lanes, r + s, n), ``intp``: per lane, r
     uniform permutations then s uniform endofunctions, in the order and with
     the values of ``random_permutation`` and ``random_endofunction`` on the
-    lane's stream.  Rows of lanes flagged in ``lanes.rejected`` are void."""
+    lane's stream."""
     if n < 1:
         raise ValueError("degree must be at least 1")
-    count = lanes.rejected.shape[0]
+    count = len(lanes)
     out = np.empty((count, num_permutations + num_endofunctions, n), dtype=np.intp)
     rows = np.arange(count)
     for g in range(num_permutations):
@@ -224,17 +222,10 @@ def lane_blocks(n: int, r: int, s: int, seed: int, lo: int, hi: int):
     (n * (r + s)))`` lanes; yields (first trial, image tables), where row i
     of the tables holds the r permutations and then the s maps that
     ``random_permutation`` and ``random_endofunction`` draw from
-    ``substream(seed, first + i)``.  ``random_tables`` draws the block, and
-    each lane flagged in ``Lanes.rejected`` is redrawn from its substream."""
+    ``substream(seed, first + i)``, as ``random_tables`` draws them."""
     if n < 1:
         raise ValueError("degree must be at least 1")
     size = max(LANE_FLOOR, LANE_BUDGET // (n * (r + s)))
     for start in range(lo, hi, size):
         lanes = Lanes(derive_seeds(seed, start, min(size, hi - start)))
-        tables = random_tables(n, r, s, lanes)
-        for i in np.flatnonzero(lanes.rejected).tolist():
-            stream = substream(seed, start + i)
-            gens = [random_permutation(n, stream) for _ in range(r)]
-            gens += [random_endofunction(n, stream) for _ in range(s)]
-            tables[i] = [g.images for g in gens]
-        yield start, tables
+        yield start, random_tables(n, r, s, lanes)

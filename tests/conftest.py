@@ -1,10 +1,8 @@
 """Shared corpus and brute-force oracles used across test modules."""
 
-import numpy as np
 import pytest
 
-from syncmonoid import Endofunction, GeneratorSet, random_endofunction, substream
-from syncmonoid.rng import Lanes
+from syncmonoid import Endofunction, GeneratorSet, random_endofunction, rng, substream
 
 
 CORPUS_SEED = 0x5EED
@@ -38,16 +36,9 @@ def cerny4():
     return GeneratorSet([a, b])
 
 
-def flaky_randbelow(monkeypatch):
-    """Make Lanes.randbelow flag every third lane and spoil its value, as a
-    rejected draw would."""
-    original = Lanes.randbelow
-
-    def flaky(self, bound):
-        values = original(self, bound)
-        spoiled = np.arange(values.shape[0]) % 3 == 1
-        self.rejected |= spoiled
-        values[spoiled] = bound - 1
-        return values
-
-    monkeypatch.setattr(Lanes, "randbelow", flaky)
+@pytest.fixture
+def capped_threshold(monkeypatch):
+    """Cap the rejection threshold of every bounded draw at 2**63, so that a
+    ``Stream`` and ``Lanes`` alike really reject about half of all draws."""
+    threshold = rng._threshold
+    monkeypatch.setattr(rng, "_threshold", lambda bound: min(threshold(bound), 2**63))

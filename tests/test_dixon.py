@@ -19,9 +19,6 @@ from syncmonoid import (
 )
 
 
-from conftest import flaky_randbelow
-
-
 def perms(n):
     return [Endofunction(p) for p in itertools.permutations(range(n))]
 
@@ -94,6 +91,15 @@ class TestUnionBound:
         assert intransitive_union_bound(3) == Fraction(1, 3)
         assert intransitive_union_bound(4) == Fraction(5, 12)
 
+    def test_equals_the_factorial_sum(self):
+        # the sum over subgroups S_k x S_{n-k} as first written, in factorials
+        for n in [*range(2, 121), 500]:
+            total = sum(
+                math.comb(n, k) * math.factorial(k) ** 2 * math.factorial(n - k) ** 2
+                for k in range(1, n // 2 + 1)
+            )
+            assert intransitive_union_bound(n) == Fraction(total, math.factorial(n) ** 2)
+
     def test_dominates_true_intransitive_probability(self):
         table = transitive_pair_counts(40)
         for n in range(2, 41):
@@ -133,16 +139,16 @@ class TestMonteCarlo:
     @pytest.mark.parametrize("forced", [False, True])
     @pytest.mark.parametrize("pairs", [False, True])
     @pytest.mark.parametrize("n", [1, 2, 6, 20])
-    def test_blocks_equal_the_scalar_loop(self, monkeypatch, forced, pairs, n):
+    def test_blocks_equal_the_scalar_loop(self, request, forced, pairs, n):
         # the one-trial-at-a-time loop the blocks replaced; forced rejections
-        # flag every third lane, which the blocks redraw from its substream
+        # reject about half of all draws, on both sides
+        if forced:
+            request.getfixturevalue("capped_threshold")
         successes = 0
         for trial in range(300):
             stream = substream(8, trial)
             gens = [random_permutation(n, stream) for _ in range(2 if pairs else 1)]
             successes += is_transitive(gens)
-        if forced:
-            flaky_randbelow(monkeypatch)
         assert monte_carlo_transitive(n, pairs, 300, seed=8) == make_estimate(successes, 300)
 
     def test_deterministic(self):

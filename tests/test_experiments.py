@@ -1,5 +1,4 @@
 import ast
-import inspect
 import itertools
 import json
 import math
@@ -36,7 +35,8 @@ from syncmonoid import (
     sweep,
     wilson_interval,
 )
-from syncmonoid import cli, dixon, experiments, transform
+import syncmonoid
+from syncmonoid import experiments, transform
 from syncmonoid.cli import main
 from syncmonoid.errors import VerificationError
 from syncmonoid.experiments import (
@@ -52,7 +52,7 @@ from syncmonoid.experiments import (
     _synchronizing_rows,
 )
 from syncmonoid.graphs import pair_arrays, pair_numbering
-from syncmonoid.rng import Lanes, derive_seeds
+from syncmonoid.rng import Lanes, Stream, derive_seeds
 from syncmonoid.stats import make_estimate
 from syncmonoid.sync import (
     collapsible_pairs,
@@ -62,7 +62,7 @@ from syncmonoid.sync import (
 )
 from syncmonoid.transform import lane_blocks, periodicity, random_tables, rank
 
-from conftest import build_instances, flaky_randbelow
+from conftest import build_instances
 
 
 def _scalar_draws(n: int, r: int, s: int, stream) -> list:
@@ -342,21 +342,14 @@ class TestEstimate:
 
 
 class TestLanePath:
-    """The block path (lane draws with redrawn lanes, squaring, the pair
-    fixpoint) against the scalar ``_trial_outcome``."""
+    """The block path (lane draws, squaring, the pair fixpoint) against the
+    scalar ``_trial_outcome``; ``capped_threshold`` makes the lanes and the
+    scalar streams reject about half of all draws."""
 
     @pytest.mark.parametrize("r, s", [(0, 1), (1, 1), (0, 2), (2, 1)])
-    def test_every_row_equals_its_substream_draws(self, monkeypatch, r, s):
-        # trials 5..250 in blocks of 64, every third lane of a block rejected
-        built = []
-
-        def counting(seed, index):
-            built.append(index)
-            return substream(seed, index)
-
-        monkeypatch.setattr(transform, "substream", counting)
+    def test_every_row_equals_its_substream_draws(self, monkeypatch, capped_threshold, r, s):
+        # trials 5..250 in blocks of 64
         monkeypatch.setattr(transform, "LANE_BUDGET", 6 * (r + s) * 64)
-        flaky_randbelow(monkeypatch)
         starts = []
         for start, tables in lane_blocks(6, r, s, 19, 5, 250):
             starts.append(start)
@@ -365,10 +358,9 @@ class TestLanePath:
                 gens = _scalar_draws(6, r, s, substream(19, start + i))
                 assert rows == [list(g.images) for g in gens]
         assert starts == [5, 69, 133, 197]
-        assert built == [t for t in range(5, 250) if (t - 5) % 64 % 3 == 1]
 
     @pytest.mark.parametrize("r, s", [(0, 1), (1, 1), (0, 2), (2, 1)])
-    def test_fallback_rows_equal_scalar_draws(self, monkeypatch, r, s):
+    def test_fallback_rows_equal_scalar_draws(self, monkeypatch, capped_threshold, r, s):
         config = ExperimentConfig(6, r, s, 250, seed=19)
         expected = []
         for trial in range(config.trials):
@@ -379,45 +371,44 @@ class TestLanePath:
         monkeypatch.setattr(experiments, "AUDIT_EVERY", 1)
         monkeypatch.setattr(transform, "LANE_BUDGET", 6 * (r + s) * 64)  # blocks of 64
         monkeypatch.setattr(experiments, "_audit", lambda images: audited.append(images.tolist()))
-        flaky_randbelow(monkeypatch)
         est = estimate_sync_probability(config)
         # every synchronizing trial is audited, with the scalar stream's maps
         assert est.successes == len(expected)
         assert audited == expected
 
-    def test_only_rejected_lanes_build_a_stream(self, monkeypatch):
+    def test_no_lane_builds_a_stream(self, monkeypatch, capped_threshold):
+        # every lane redraws its own rejected draws; no scalar Stream runs
         built = []
+        init = Stream.__init__
 
-        def counting(seed, index):
-            built.append(index)
-            return substream(seed, index)
+        def counting(self, seed):
+            built.append(seed)
+            init(self, seed)
 
-        monkeypatch.setattr(transform, "substream", counting)
-        config = ExperimentConfig(6, 1, 1, 250, seed=19)
-        estimate_sync_probability(config)
+        monkeypatch.setattr(Stream, "__init__", counting)
+        monkeypatch.setattr(transform, "LANE_BUDGET", 6 * 2 * 64)  # blocks of 64
+        estimate_sync_probability(ExperimentConfig(6, 1, 1, 250, seed=19))
         edge_graph_experiment(4, 250, seed=19)
         monte_carlo_transitive(6, True, 250, seed=19)
         assert built == []
-        monkeypatch.setattr(transform, "LANE_BUDGET", 6 * 2 * 64)  # blocks of 64
-        flaky_randbelow(monkeypatch)
-        estimate_sync_probability(config)
-        # the flaky draws flag every third lane of each block, from its second on
-        assert built == [t for t in range(250) if t % 64 % 3 == 1]
 
-    def test_only_transform_redraws_rejected_lanes(self):
-        # the experiments take finished tables: none reads the rejection
-        # mask or builds a substream (it may import the name for the tracer)
-        for module in (experiments, dixon, cli):
-            for node in ast.walk(ast.parse(inspect.getsource(module))):
-                assert not (isinstance(node, ast.Attribute) and node.attr == "rejected")
+    def test_only_rng_redraws_a_rejected_draw(self):
+        # the experiments take finished tables: no module but rng reads a
+        # rejection mask or builds a scalar stream (experiments imports
+        # substream for the tracer, and transform names Stream as a type)
+        paths = [p for p in Path(syncmonoid.__file__).parent.glob("*.py") if p.stem != "rng"]
+        assert {"cli", "dixon", "experiments", "transform"} <= {p.stem for p in paths}
+        for path in paths:
+            for node in ast.walk(ast.parse(path.read_text())):
+                assert not (isinstance(node, ast.Attribute) and node.attr == "rejected"), path
                 if isinstance(node, ast.Call):
-                    assert getattr(node.func, "id", getattr(node.func, "attr", None)) != "substream"
+                    called = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    assert called not in ("substream", "Stream"), path
 
-    def test_edge_graph_fallback_matches_lanes(self, monkeypatch):
-        plain = edge_graph_experiment(4, 500, seed=9).estimate
+    def test_edge_graph_fallback_matches_lanes(self, monkeypatch, capped_threshold):
         monkeypatch.setattr(transform, "LANE_BUDGET", 4 * 2 * 64)  # blocks of 64
-        flaky_randbelow(monkeypatch)
-        assert edge_graph_experiment(4, 500, seed=9).estimate == plain
+        estimate = edge_graph_experiment(4, 500, seed=9).estimate
+        assert estimate == make_estimate(_edge_graph_successes(4, 500, 9), 500)
 
     @pytest.mark.parametrize("n", range(1, 41))
     def test_single_map_decision_matches_scalar(self, n):
@@ -629,10 +620,9 @@ class TestCertificates:
                 tested += 1
         assert tested
 
-    def test_every_non_synchronizing_pair_trial_is_checked(self, monkeypatch):
+    def test_every_non_synchronizing_pair_trial_is_checked(self, monkeypatch, capped_threshold):
         checked = []
         monkeypatch.setattr(experiments, "_check_stuck", lambda images: checked.append(images))
-        flaky_randbelow(monkeypatch)  # rejected lanes included
         config = ExperimentConfig(5, 1, 1, 300, seed=12)
         est = estimate_sync_probability(config)
         outcomes = [_trial_outcome(5, 1, 1, substream(config.seed, t)) for t in range(300)]
@@ -678,6 +668,21 @@ class TestClosureCorpus:
                     )
                     verdicts.add(sync)
         assert verdicts == {True, False}
+
+
+def _edge_graph_successes(n, trials, seed):
+    """The scalar oracle of ``edge_graph_experiment``: redraw every trial's
+    maps and ask each one-edge graph directly."""
+    successes = 0
+    for trial in range(trials):
+        stream = substream(seed, trial)
+        f, g = random_endofunction(n, stream), random_endofunction(n, stream)
+        successes += any(
+            is_endomorphism(edge, f) and is_endomorphism(edge, g)
+            for edge in (SimpleGraph.single_edge(n, v, w)
+                         for v in range(n) for w in range(v + 1, n))
+        )
+    return successes
 
 
 class TestEdgeGraphExperiment:
@@ -727,18 +732,8 @@ class TestEdgeGraphExperiment:
 
     @pytest.mark.parametrize("n, seed", [(2, 1), (3, 5), (4, 9), (6, 3)])
     def test_successes_match_endomorphism_oracle(self, n, seed):
-        # redraw every trial's maps and ask each one-edge graph directly
-        trials = 400
-        successes = 0
-        for trial in range(trials):
-            stream = substream(seed, trial)
-            f, g = random_endofunction(n, stream), random_endofunction(n, stream)
-            successes += any(
-                is_endomorphism(edge, f) and is_endomorphism(edge, g)
-                for edge in (SimpleGraph.single_edge(n, v, w)
-                             for v in range(n) for w in range(v + 1, n))
-            )
-        assert edge_graph_experiment(n, trials, seed).estimate.successes == successes
+        successes = _edge_graph_successes(n, 400, seed)
+        assert edge_graph_experiment(n, 400, seed).estimate.successes == successes
 
 
 class TestExplorer:

@@ -218,14 +218,19 @@ class TestRandom:
 
 
 @pytest.mark.parametrize("n, r, s", [(1, 1, 1), (2, 2, 1), (5, 0, 3), (17, 2, 1), (30, 1, 0)])
-def test_random_tables_match_scalar_draws(n, r, s):
-    # each lane holds the permutations, then the maps, that its stream gives
-    lanes = Lanes(derive_seeds(n, 0, 60))
-    tables = random_tables(n, r, s, lanes)
-    assert tables.shape == (60, r + s, n) and tables.dtype == np.intp
-    assert not lanes.rejected.any()
-    for t, rows in enumerate(tables.tolist()):
-        stream = substream(n, t)
-        gens = [random_permutation(n, stream) for _ in range(r)]
-        gens += [random_endofunction(n, stream) for _ in range(s)]
-        assert rows == [list(g.images) for g in gens]
+def test_random_tables_match_scalar_draws(request, n, r, s):
+    # each lane holds the permutations, then the maps, that its stream gives;
+    # then again with about half of all draws rejected, lanes and streams alike
+    drawn = []
+    for capped in (False, True):
+        if capped:
+            request.getfixturevalue("capped_threshold")
+        tables = random_tables(n, r, s, Lanes(derive_seeds(n, 0, 60)))
+        drawn.append(tables.tolist())
+        assert tables.shape == (60, r + s, n) and tables.dtype == np.intp
+        for t, rows in enumerate(tables.tolist()):
+            stream = substream(n, t)
+            gens = [random_permutation(n, stream) for _ in range(r)]
+            gens += [random_endofunction(n, stream) for _ in range(s)]
+            assert rows == [list(g.images) for g in gens]
+    assert (drawn[0] != drawn[1]) == (n > 1)  # the cap changed the draws
