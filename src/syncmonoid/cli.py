@@ -3,7 +3,8 @@
 Machine-readable output (JSON or the map/graph text formats) goes to
 stdout, or to a file with --out; human summaries go to stderr.  Exit
 codes: 0 success, 1 domain error (bad file contents, caps, out of memory),
-2 usage error, 3 internal error (a certificate failed its check).
+2 usage error, 3 internal error (a certificate failed its check), 130
+interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -393,6 +394,9 @@ def main(argv=None) -> int:
     except VerificationError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
     finally:
         if sink is not None:
             sink.close()

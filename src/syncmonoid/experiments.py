@@ -7,30 +7,22 @@ are byte-identical however trials are scheduled.  Within a trial the draw
 order is fixed: the permutation generators first, then the endofunction
 generators.
 
-Trials run in blocks from ``transform.lane_blocks``: one ``rng.Lanes``
-lane per trial draws the generators of the whole block at once, exactly
-as the trial's own ``substream(seed, trial)`` would, so every row of a
-block is its trial's generators, and every trial is decided and certified
-on its image table.
-A single map is decided for the whole block by repeated squaring.  A mix
-with a map f is first filtered on the periodic points C of f, the image
-of a power f^J: maps "w then f^J", w a short word, lie in the monoid and
-map every point into C, and if a product of them is constant on C, then
-f^J followed by it is constant.  So the filter accepts only synchronizing
-lanes, most of them at a fixpoint over |C|(|C|-1)/2 pairs instead of
-n(n-1)/2.  The lanes it leaves, and every mix without a map, go through
-the full pair fixpoint in numpy batches of ``BATCH_BUDGET`` pair targets,
-many lanes to a call.
-Either way, verdicts are certified from the image table alone by a
-step-by-step fixpoint on one trial: 1% of the synchronizing trials replay
-a reset word built from it, and every trial judged not synchronizing
-shows a nonempty set of pairs that no generator merges or leaves.
+Trials run in blocks from ``transform.lane_blocks``, each row exactly
+what its trial's own ``substream(seed, trial)`` draws, and every trial is
+decided and certified on its image table.  A single map is decided by
+repeated squaring of the maps with one fixed point.  A mix with a map is
+first filtered on that map's periodic points (``_synchronizing_on_cycles``),
+which accepts only synchronizing lanes; the lanes it leaves, and every mix
+without a map, go through the full pair fixpoint in numpy batches of
+``BATCH_BUDGET`` pair targets, many lanes to a call.  The pairs that this
+fixpoint leaves uncollapsed, the separation graph, certify each lane it
+judges not synchronizing: one check per block shows every such set
+nonempty and mapped into itself, unmerged, by every generator.  1% of the
+synchronizing trials replay a reset word: f^(n-1) for a single map f, else
+one built from a step-by-step fixpoint on the trial.
 
-Exact probabilities count up to conjugacy: the first map runs over one
-representative per conjugacy class of T_n, weighted by the class size, and
-the tuples of the other generators run in numpy batches through the same
-pair fixpoint, one row per tuple.  The brute-force loop over every tuple,
-``_exact_by_enumeration``, is its oracle.
+Exact probabilities count up to conjugacy (``exact_sync_probability``); the
+brute-force loop over every tuple, ``_exact_by_enumeration``, is its oracle.
 """
 
 from __future__ import annotations
@@ -38,7 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+import signal
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -150,12 +142,13 @@ def _batch_rows(n: int, k: int) -> int:
 
 
 def _synchronizing_rows(targets) -> np.ndarray:
-    """Which rows of a batch synchronize.  ``targets`` holds one (rows,
-    pairs) array per generator, or a (pairs,) array shared by every row,
-    as ``_pair_targets`` gives them.  Each row gets its own block of a flat
-    (rows, pairs + 1) state, whose last column is the merged state, and the
-    generators sweep over it in turn until the set of collapsible pairs
-    stops growing."""
+    """The collapsed pairs (rows, pairs) of a batch at its fixpoint; a row
+    synchronizes iff all collapse, and the others form its separation graph.
+    ``targets`` holds one (rows, pairs) array per generator, or a (pairs,)
+    array shared by every row, as ``_pair_targets`` gives them.  Each row
+    gets its own block of a flat (rows, pairs + 1) state, whose last column
+    is the merged state, and the generators sweep over it in turn until the
+    set of collapsible pairs stops growing."""
     rows, pairs = np.broadcast_shapes(*(t.shape for t in targets))
     base = np.arange(0, rows * (pairs + 1), pairs + 1)[:, None]
     targets = [t + base for t in targets]
@@ -169,28 +162,28 @@ def _synchronizing_rows(targets) -> np.ndarray:
             np.logical_or(collapsed, flat.take(t), out=collapsed)
         total = int(np.count_nonzero(collapsed))
         if total == known or total == collapsed.size:
-            return collapsed.all(axis=1)
+            return collapsed
         known = total
 
 
 def _synchronizing_lanes(n: int, tables) -> np.ndarray:
-    """Which lanes of a block of image tables (lanes, k, n) synchronize,
-    ``_batch_rows(n, k)`` lanes to a fixpoint call.  The full decision for
-    the lanes that ``_synchronizing_on_cycles`` leaves, and that filter's
-    own decision on the periodic points of each lane group."""
-    rows = _batch_rows(n, tables.shape[1])
-    return np.concatenate([
-        _synchronizing_rows(list(_pair_targets(n, tables[lo : lo + rows]).swapaxes(0, 1)))
-        for lo in range(0, tables.shape[0], rows)
-    ])
+    """The ``_synchronizing_rows`` state (lanes, pairs) of image tables
+    (lanes, k, n), ``_batch_rows(n, k)`` lanes to a call: the full fixpoint,
+    and the decision of ``_synchronizing_on_cycles`` on each lane group."""
+    lanes, k, _ = tables.shape
+    rows = _batch_rows(n, k)
+    state = np.empty((lanes, n * (n - 1) // 2), dtype=bool)  # one array: a block's may be large
+    for lo in range(0, lanes, rows):
+        targets = _pair_targets(n, tables[lo : lo + rows]).swapaxes(0, 1)
+        state[lo : lo + rows] = _synchronizing_rows(list(targets))
+    return state
 
 
 def _all_pairs_collapsible(n: int, image_tables) -> bool:
-    """The pair fixpoint for one generator list, as a single row: the
-    oracle that the batched ``_synchronizing_lanes`` is tested against;
-    equivalent to the backward closure sync.collapsible_pairs
-    (property-tested against it)."""
-    return bool(_synchronizing_rows(list(_pair_targets(n, image_tables)[:, None]))[0])
+    """The pair fixpoint for one generator list, as a single row: the oracle
+    of the batched ``_synchronizing_lanes``, property-tested against the
+    backward closure sync.collapsible_pairs."""
+    return bool(_synchronizing_rows(list(_pair_targets(n, image_tables)[:, None])).all())
 
 
 def _collapse_steps(n: int, image_tables) -> np.ndarray:
@@ -217,12 +210,15 @@ def _collapse_steps(n: int, image_tables) -> np.ndarray:
 
 
 def _reset_word(images) -> list[int]:
-    """Greedy merging along ``_collapse_steps`` on a (k, n) image table:
-    while the image of the word so far has two points, follow the steps
-    from the pair of its two least points down to the merged state, and
-    append the generators taken.  A pair that never collapsed, or steps
+    """A reset word for a (k, n) image table: f^(n-1) for one generator f,
+    as every tail is shorter than n; else greedy merging along
+    ``_collapse_steps``: while the image of the word so far has two points,
+    follow the steps from its two least points down to the merged state,
+    appending the generators taken.  A pair that never collapsed, or steps
     that fail to descend (which would loop), raise VerificationError."""
     k, n = images.shape
+    if k == 1:
+        return [0] * (n - 1)
     steps = _collapse_steps(n, images)
     index = pair_arrays(n)[2]
     rows = images.tolist()
@@ -263,9 +259,13 @@ def _cycle_power(maps) -> np.ndarray:
 
 def _single_map_synchronizes(maps):
     """Rows of ``maps`` (lanes, n) whose map has one periodic point, i.e.
-    whose ``_cycle_power`` is constant."""
-    power = _cycle_power(maps)
-    return (power == power[:, :1]).all(axis=1)
+    whose ``_cycle_power`` is constant.  That point is fixed, so only the
+    rows with exactly one fixed point are powered."""
+    sync = np.count_nonzero(maps == np.arange(maps.shape[1]), axis=1) == 1
+    rows = np.flatnonzero(sync)
+    power = _cycle_power(maps[rows])
+    sync[rows] = (power == power[:, :1]).all(axis=1)
+    return sync
 
 
 def _synchronizing_on_cycles(tables, r: int) -> np.ndarray:
@@ -302,20 +302,23 @@ def _synchronizing_on_cycles(tables, r: int) -> np.ndarray:
         if c > 1:
             lo = offsets[start]
             group = words[:, lo : lo + count * c].reshape(-1, count, c).swapaxes(0, 1)
-            sync[order[start : start + count]] = _synchronizing_lanes(c, group)
+            sync[order[start : start + count]] = _synchronizing_lanes(c, group).all(axis=1)
     return sync
 
 
-def _pair_mix_lanes(tables, r: int) -> np.ndarray:
-    """Which lanes of a block of image tables (lanes, k, n) synchronize:
-    the lanes that ``_synchronizing_on_cycles`` accepts, when generator r is
-    a map, and all others through the full fixpoint ``_synchronizing_lanes``."""
+def _pair_mix_lanes(tables, r: int):
+    """Which lanes of a block of image tables (lanes, k, n) synchronize: those
+    that ``_synchronizing_on_cycles`` accepts, when generator r is a map, and
+    all others by the full fixpoint ``_synchronizing_lanes``, which so judged
+    every lane that does not; for those, the pairs it left uncollapsed."""
     lanes, k, n = tables.shape
     sync = _synchronizing_on_cycles(tables, r) if r < k else np.zeros(lanes, dtype=bool)
     rest = np.flatnonzero(~sync)
-    if rest.size:
-        sync[rest] = _synchronizing_lanes(n, tables[rest])
-    return sync
+    if not rest.size:  # the filter accepted every lane
+        return sync, np.zeros((0, n * (n - 1) // 2), dtype=bool)
+    collapsed = _synchronizing_lanes(n, tables[rest])
+    sync[rest] = collapsed.all(axis=1)
+    return sync, np.logical_not(collapsed, out=collapsed)[~sync[rest]]
 
 
 def _audit(images) -> None:
@@ -329,20 +332,21 @@ def _audit(images) -> None:
         raise VerificationError("synchronization certificate replay failed")
 
 
-def _check_stuck(images) -> None:
-    """Certify a trial flagged not synchronizing.  The pairs that
-    ``_collapse_steps`` never collapsed must form a nonempty set that no
-    generator merges a pair of or maps a pair out of, so that no word
-    merges any of them; checked on the (k, n) image table alone, with an
-    n x n stuck matrix whose diagonal (a merged pair) stays False."""
-    n = images.shape[1]
-    first, second, _ = pair_arrays(n)
-    never = _collapse_steps(n, images) < 0
-    v, w = first[never], second[never]
-    stuck = np.zeros((n, n), dtype=bool)
-    stuck[v, w] = stuck[w, v] = True
-    if not (never.any() and stuck[images[:, v], images[:, w]].all()):
-        raise VerificationError("non-synchronization certificate check failed")
+def _check_stuck(tables, stuck) -> None:
+    """Certify lanes flagged not synchronizing from their image tables
+    (lanes, k, n) and the pairs (lanes, pairs) their fixpoint left stuck:
+    each set must be nonempty, and every generator must map each of its
+    pairs onto an unmerged pair of the same set, so no word merges them;
+    ``_batch_rows`` lanes at a time, padded with a merged state, not stuck."""
+    lanes, k, n = tables.shape
+    first, second, index = pair_arrays(n)
+    rows = _batch_rows(n, k)
+    for lo in range(0, lanes, rows):
+        sets = np.pad(stuck[lo : lo + rows], ((0, 0), (0, 1)))
+        lane, pair = np.nonzero(sets)
+        images = tables[lo + lane, :, first[pair]] * n + tables[lo + lane, :, second[pair]]
+        if not (sets.any(axis=1).all() and sets[lane[:, None], index.take(images)].all()):
+            raise VerificationError("non-synchronization certificate check failed")
 
 
 def _run_chunk(args) -> int:
@@ -355,14 +359,13 @@ def _run_chunk(args) -> int:
         if (r, s) == (0, 1):
             sync = _single_map_synchronizes(tables[:, 0])
         else:
-            sync = _pair_mix_lanes(tables, r)
+            sync, stuck = _pair_mix_lanes(tables, r)
+            if not sync.all():
+                _check_stuck(tables[~sync], stuck)
         successes += int(np.count_nonzero(sync))
         for i in range(-start % AUDIT_EVERY, len(tables), AUDIT_EVERY):
             if sync[i]:
                 _audit(tables[i])
-        if (r, s) != (0, 1):
-            for i in np.flatnonzero(~sync).tolist():
-                _check_stuck(tables[i])
     return successes
 
 
@@ -379,10 +382,22 @@ def estimate_sync_probability(config: ExperimentConfig, threads: int = 1) -> Est
             base + (lo, min(lo + chunk, config.trials))
             for lo in range(0, config.trials, chunk)
         ]
-        # a forking pool starts all its workers at once: no more than can work
+        from concurrent.futures import ProcessPoolExecutor
+
+        # A forking pool starts all its workers at once: no more than can work.
+        # They fork with SIGINT blocked for good, and a Ctrl-C meanwhile waits
+        # for the unblock; then, or on an error, no running chunk is awaited.
         workers = min(threads, len(jobs), os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            successes = sum(pool.map(_run_chunk, jobs))
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, [signal.SIGINT])
+            try:
+                results = pool.map(_run_chunk, jobs)
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+                successes = sum(results)
+            finally:
+                for worker in pool._processes.values():  # no public call stops a busy worker
+                    worker.terminate()
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
     return make_estimate(successes, config.trials)
 
 
@@ -481,7 +496,7 @@ def _count_synchronizing(n: int, classes, pools, rows: int) -> int:
             for pool in reversed(pools):
                 targets.append(pool[index % pool.shape[0]])
                 index = index // pool.shape[0]
-            count += weight * int(np.count_nonzero(_synchronizing_rows(targets)))
+            count += weight * int(np.count_nonzero(_synchronizing_rows(targets).all(axis=1)))
     return count
 
 

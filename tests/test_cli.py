@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -226,6 +227,19 @@ class TestExperimentsCommands:
         assert done.returncode == 0
         assert json.loads(done.stdout) == {"exact": "1/3"}
 
+    def test_cli_loads_no_process_pool(self):
+        # concurrent.futures.process is imported only for --threads > 1
+        script = (
+            "import sys\n"
+            "import syncmonoid.cli as cli\n"
+            "cli.build_parser()\n"
+            "print('concurrent.futures.process' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(syncmonoid.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert (done.returncode, done.stdout) == (0, "False\n")
+
     def test_estimate_deterministic_bytes(self, capsys):
         argv = ["estimate", "--n", "6", "--k", "2", "--trials", "300", "--seed", "9"]
         code1, out1, _ = run(capsys, argv)
@@ -433,7 +447,7 @@ class TestErrorHandling:
 
         monkeypatch.setattr(
             experiments, "_synchronizing_lanes",
-            lambda n, tables: np.full(tables.shape[0], verdict),
+            lambda n, tables: np.full((tables.shape[0], n * (n - 1) // 2), verdict),
         )
         argv = ["estimate", "--n", "4", *generators, "--trials", "50", "--seed", "77"]
         code, _, err = run(capsys, argv)
@@ -455,6 +469,67 @@ class TestErrorHandling:
         assert code == 3
         assert err.startswith("internal error: ") and "never collapsed" in err
         assert "Traceback" not in err
+
+    def test_collapsible_pair_in_a_stuck_set_exits_3(self, capsys, monkeypatch):
+        # one collapsed pair of one non-synchronizing lane marked stuck
+        from syncmonoid import experiments
+
+        decide = experiments._pair_mix_lanes
+        marked = []
+
+        def marking(tables, r):
+            sync, stuck = decide(tables, r)
+            lane, pair = np.nonzero(~stuck)
+            if lane.size and not marked:
+                stuck[lane[-1], pair[-1]] = True
+                marked.append(lane[-1])
+            return sync, stuck
+
+        monkeypatch.setattr(experiments, "_pair_mix_lanes", marking)
+        argv = ["estimate", "--n", "6", "--k", "2", "--trials", "300", "--seed", "9"]
+        code, out, err = run(capsys, argv)
+        assert marked and (code, out) == (3, "")
+        assert err.startswith("internal error: ") and "non-synchronization certificate" in err
+
+    def test_interrupt_exits_130_without_a_traceback(self, capsys, monkeypatch, tmp_path):
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "estimate_sync_probability", interrupted)
+        target = tmp_path / "out.json"
+        code, out, err = run(capsys, ["estimate", "--n", "5", "--k", "1", "--trials", "5",
+                                      "--seed", "1", "--out", str(target)])
+        assert (code, out, err) == (130, "", "interrupted\n")
+        assert target.read_text() == ""
+
+    @pytest.mark.parametrize("pause", [0, 1])
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_ctrl_c_exits_130_at_once(self, tmp_path, threads, pause):
+        # SIGINT to the process group, as Ctrl-C sends it, once main has
+        # opened --out inside its try: at once, about when the workers fork,
+        # or a second later, when they run.  A chunk of this run takes tens
+        # of seconds, and no running chunk is waited for.
+        target = tmp_path / "out.json"
+        env = dict(os.environ, PYTHONPATH=str(Path(syncmonoid.__file__).parents[1]))
+        argv = [sys.executable, "-m", "syncmonoid", "estimate", "--n", "2560", "--perms", "0",
+                "--maps-count", "2", "--trials", "4000", "--seed", "1", "--threads", threads,
+                "--out", str(target)]
+        proc = subprocess.Popen(argv, stderr=subprocess.PIPE, text=True, env=env,
+                                start_new_session=True)
+        try:
+            deadline = time.monotonic() + 60
+            while not target.exists():
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.005)
+            time.sleep(pause)
+            os.killpg(proc.pid, signal.SIGINT)
+            _, err = proc.communicate(timeout=5)
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+        assert proc.returncode == 130
+        assert "Traceback" not in err and err.endswith("interrupted\n")
 
     def test_non_positive_n_rejected(self):
         with pytest.raises(SystemExit) as exc:

@@ -1,4 +1,5 @@
 import ast
+import concurrent.futures
 import itertools
 import json
 import math
@@ -60,7 +61,13 @@ from syncmonoid.sync import (
     separation_graph,
     separation_graph_of_elements,
 )
-from syncmonoid.transform import lane_blocks, periodicity, random_tables, rank
+from syncmonoid.transform import (
+    has_unique_periodic_point,
+    lane_blocks,
+    periodicity,
+    random_tables,
+    rank,
+)
 
 from conftest import build_instances
 
@@ -235,7 +242,7 @@ class TestExactByClasses:
     def test_batch_rows_against_closure(self, n, r):
         tables = random_tables(n, r, 2 - r, Lanes(derive_seeds(100 + n, 0, 2000)))
         targets = _pair_targets(n, tables)  # (rows, 2, pairs)
-        decided = _synchronizing_rows([targets[:, 0], targets[:, 1]])
+        decided = _synchronizing_rows([targets[:, 0], targets[:, 1]]).all(axis=1)
         expected = [
             is_synchronizing(GeneratorSet([Endofunction(row) for row in rows]))
             for rows in tables.tolist()
@@ -297,6 +304,8 @@ class TestEstimate:
         created = []
 
         class InProcessPool:
+            _processes = {}  # the workers the parent stops when it is done
+
             def __init__(self, max_workers):
                 created.append(max_workers)
 
@@ -309,7 +318,8 @@ class TestEstimate:
             def map(self, fn, jobs):
                 return map(fn, jobs)
 
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", InProcessPool)
+        # the pool is imported where it starts, so it is patched at its source
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         config = ExperimentConfig(5, 0, 2, 10, seed=3)
         est = estimate_sync_probability(config, threads=5000)
         assert created == [min(10, os.cpu_count() or 1)]
@@ -425,6 +435,25 @@ class TestLanePath:
             True, n == 1, n == 1
         ]
 
+    def test_single_map_decision_by_fixed_points(self):
+        # only rows with one fixed point are powered; every row is checked
+        # against the scalar walk, on drawn maps and on maps built with 0, 1
+        # and at least 2 fixed points
+        seen = set()
+        for n in range(1, 301):
+            path = [max(v - 1, 0) for v in range(n)]  # one fixed point, synchronizing
+            built = [path, list(range(n)), [(v + 1) % n for v in range(n)]]
+            if n > 2:  # one fixed point and a 2-cycle; two fixed points on a path
+                built += [[0, 2, 1] + path[3:], [0, 1] + path[2:]]
+            maps = np.concatenate([random_tables(n, 0, 1, Lanes(derive_seeds(n, 0, 32)))[:, 0],
+                                   np.array(built, dtype=np.intp)])
+            decided = experiments._single_map_synchronizes(maps).tolist()
+            fixed = np.count_nonzero(maps == np.arange(n), axis=1).tolist()
+            for f, sync, count in zip(maps.tolist(), decided, fixed):
+                assert sync == has_unique_periodic_point(Endofunction(f))
+                seen.add((min(count, 2), sync))
+        assert seen == {(0, False), (1, False), (1, True), (2, False)}
+
     @pytest.mark.parametrize("r, s, n, trials", [(0, 1, 30, 2500), (1, 1, 40, 1000)])
     def test_threads_agree_off_block_boundaries(self, monkeypatch, r, s, n, trials):
         # blocks of 1092 and 409 lanes; two chunks split the trials elsewhere.
@@ -523,7 +552,7 @@ class TestBatchedPairPath:
             # batches of 3 rows: 50 lanes split 16 times and leave 2
             monkeypatch.setattr(experiments, "BATCH_BUDGET", 3 * k * (pairs + 1) + 1)
             tables = random_tables(n, r, s, Lanes(derive_seeds(40 + n, 0, 50)))
-            decided = experiments._synchronizing_lanes(n, tables).tolist()
+            decided = experiments._synchronizing_lanes(n, tables).all(axis=1).tolist()
             assert decided == [_all_pairs_collapsible(n, rows) for rows in tables]
             verdicts.update(decided)
         assert verdicts == {True, False}
@@ -537,7 +566,7 @@ class TestBatchedPairPath:
                 monkeypatch.setattr(experiments, "BATCH_BUDGET", 7 * k * (n + 1))
                 tables = random_tables(n, r, s, Lanes(derive_seeds(60 + n, 0, 50)))
                 accepted = experiments._synchronizing_on_cycles(tables, r).tolist()
-                decided = experiments._pair_mix_lanes(tables, r).tolist()
+                decided = experiments._pair_mix_lanes(tables, r)[0].tolist()
                 full = [_all_pairs_collapsible(n, rows) for rows in tables]
                 assert decided == full
                 for rows, ok, sync in zip(tables, accepted, full):
@@ -589,32 +618,52 @@ class TestCertificates:
                     assert a == b or steps[offs[min(a, b)] + max(a, b)] < t
 
     def test_word_replays_exactly_when_synchronizing(self):
+        # the stuck set is what the deciding fixpoint left uncollapsed; one
+        # generator's word is f^(n-1), whose replay fails when f does not reset
         verdicts = set()
         for gens in _certificate_corpus():
             gen_set = GeneratorSet(gens)
             sync = is_synchronizing(gen_set)
-            verdicts.add(sync)
+            verdicts.add((len(gens) == 1, sync))
             table = _table(gens)
+            stuck = ~experiments._synchronizing_lanes(gens[0].n, table[None])
             if sync:
                 word = experiments._reset_word(table)
                 assert rank(gen_set.evaluate(tuple(word))) == 1
                 experiments._audit(table)
                 with pytest.raises(VerificationError):
-                    experiments._check_stuck(table)
+                    experiments._check_stuck(table[None], stuck)
             else:
-                with pytest.raises(VerificationError, match="never collapsed"):
+                message = "replay failed" if len(gens) == 1 else "never collapsed"
+                with pytest.raises(VerificationError, match=message):
                     experiments._audit(table)
-                experiments._check_stuck(table)
-        assert verdicts == {True, False}
+                experiments._check_stuck(table[None], stuck)
+        assert verdicts == {(True, True), (True, False), (False, True), (False, False)}
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 64])
+    def test_single_map_word_is_its_power(self, monkeypatch, n):
+        # a path into a fixed point has the longest tail, n - 1 steps; a
+        # 2-cycle at its end never collapses.  No pair arrays are built.
+        def never(*args):
+            raise AssertionError("pair arrays built for a single map")
+
+        monkeypatch.setattr(experiments, "pair_arrays", never)
+        path = [max(v - 1, 0) for v in range(n)]
+        assert experiments._reset_word(np.array([path])) == [0] * (n - 1)
+        experiments._audit(np.array([path]))
+        if n > 1:
+            with pytest.raises(VerificationError, match="replay failed"):
+                experiments._audit(np.array([[1, 0] + path[2:]]))
 
     def test_audit_rejects_a_word_that_does_not_reset(self, monkeypatch):
-        # the replay in numpy, not the greedy walk, decides the audit
+        # the replay in numpy, not the greedy walk, decides the audit; a
+        # greedy word without its last letter leaves two points
         reset_word = experiments._reset_word
         monkeypatch.setattr(experiments, "_reset_word", lambda images: reset_word(images)[:-1])
         tested = 0
         for gens in _certificate_corpus():
             table = _table(gens)
-            if is_synchronizing(GeneratorSet(gens)) and reset_word(table):
+            if len(gens) > 1 and is_synchronizing(GeneratorSet(gens)) and reset_word(table):
                 with pytest.raises(VerificationError, match="replay failed"):
                     experiments._audit(table)
                 tested += 1
@@ -622,7 +671,8 @@ class TestCertificates:
 
     def test_every_non_synchronizing_pair_trial_is_checked(self, monkeypatch, capped_threshold):
         checked = []
-        monkeypatch.setattr(experiments, "_check_stuck", lambda images: checked.append(images))
+        monkeypatch.setattr(experiments, "_check_stuck",
+                            lambda tables, stuck: checked.extend(tables))
         config = ExperimentConfig(5, 1, 1, 300, seed=12)
         est = estimate_sync_probability(config)
         outcomes = [_trial_outcome(5, 1, 1, substream(config.seed, t)) for t in range(300)]
@@ -631,20 +681,71 @@ class TestCertificates:
         assert est.successes == config.trials - len(expected)
 
 
-    def test_stuck_check_rejects_a_collapsible_pair(self, monkeypatch):
-        steps = experiments._collapse_steps
+    def test_stuck_check_rejects_a_collapsible_pair(self):
+        # each block's stuck sets pass; marking any one collapsed pair of any
+        # one lane as stuck fails the check of the whole block
         tested = 0
-        for gens in _certificate_corpus():
-            real = steps(gens[0].n, [g.images for g in gens])
-            if not (real >= 0).any():
-                continue
-            marked = real.copy()
-            marked[np.flatnonzero(real >= 0)[-1]] = -1  # one collapsible pair, never collapsed
-            monkeypatch.setattr(experiments, "_collapse_steps", lambda n, images: marked)
-            with pytest.raises(VerificationError, match="non-synchronization certificate"):
-                experiments._check_stuck(_table(gens))
-            tested += 1
-        assert tested
+        for r, s in FILTER_MIXES + [(2, 0)]:
+            for n in range(2, 7):
+                tables = random_tables(n, r, s, Lanes(derive_seeds(200 + n, 0, 100)))
+                sync, stuck = experiments._pair_mix_lanes(tables, r)
+                experiments._check_stuck(tables[~sync], stuck)
+                for lane, pair in zip(*np.nonzero(~stuck)):
+                    marked = stuck.copy()
+                    marked[lane, pair] = True
+                    with pytest.raises(VerificationError, match="non-synchronization certificate"):
+                        experiments._check_stuck(tables[~sync], marked)
+                    tested += 1
+        assert tested > 500
+
+    def test_each_verdict_is_certified_from_its_deciding_state(self, monkeypatch):
+        # the mc_pairs sweep in blocks of at most 409 lanes: _collapse_steps
+        # runs once per audited synchronizing trial and for nothing else, and
+        # _check_stuck once per block with a non-synchronizing lane, on the
+        # non-synchronizing lanes of that block
+        monkeypatch.setattr(transform, "LANE_BUDGET", 2**13)
+        steps, audit, check = (experiments._collapse_steps, experiments._audit,
+                               experiments._check_stuck)
+        calls = {"steps": 0, "audit": 0}
+        checked = []
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        def checking(tables, stuck):
+            checked.append(tables.tolist())
+            check(tables, stuck)
+
+        monkeypatch.setattr(experiments, "_collapse_steps", counted("steps", steps))
+        monkeypatch.setattr(experiments, "_audit", counted("audit", audit))
+        monkeypatch.setattr(experiments, "_check_stuck", checking)
+        records = sweep([10, 20, 40, 80], [(0, 2, 500), (1, 1, 500)], seed=99)
+        expected = []
+        for record in records:
+            n, r, s = record["n"], record["r"], record["s"]
+            for _, tables in lane_blocks(n, r, s, record["seed"], 0, record["trials"]):
+                stuck = [rows for rows in tables if not _all_pairs_collapsible(n, rows)]
+                if stuck:
+                    expected.append([rows.tolist() for rows in stuck])
+        assert checked == expected and len(expected) > len(records)
+        assert calls["steps"] == calls["audit"] > 0
+
+    def test_single_map_audits_build_no_pair_arrays(self, monkeypatch, capsys):
+        # trials 0, 100, ..., 900 are audited when they synchronize
+        def never(*args):
+            raise AssertionError("pair arrays built for a single map")
+
+        audited = []
+        audit = experiments._audit
+        monkeypatch.setattr(experiments, "pair_arrays", never)
+        monkeypatch.setattr(experiments, "_audit",
+                            lambda images: audited.append(images) or audit(images))
+        argv = ["estimate", "--n", "5", "--k", "1", "--trials", "1000", "--seed", "7"]
+        assert main(argv) == 0
+        assert audited and json.loads(capsys.readouterr().out)["successes"] > 0
 
 
 class TestClosureCorpus:
@@ -658,15 +759,19 @@ class TestClosureCorpus:
                     _scalar_draws(n, r, s, substream(1000 * n + 10 * r + s, t)) for t in range(10)
                 ]
                 tables = np.array([_table(gens) for gens in drawn])
-                decided = experiments._pair_mix_lanes(tables, r).tolist()
-                for gens, sync in zip(drawn, decided):
+                decided, stuck = experiments._pair_mix_lanes(tables, r)
+                sets = iter(stuck.tolist())
+                for gens, sync in zip(drawn, decided.tolist()):
                     closure = monoid_closure(GeneratorSet(gens))
                     assert sync == _all_pairs_collapsible(n, [g.images for g in gens])
                     assert sync == (min(rank(m) for m in closure) == 1)
-                    assert separation_graph(GeneratorSet(gens)) == separation_graph_of_elements(
-                        closure
-                    )
+                    graph = separation_graph(GeneratorSet(gens))
+                    assert graph == separation_graph_of_elements(closure)
+                    if not sync:  # the stuck set is the separation graph
+                        pairs, _ = pair_numbering(n)
+                        assert {p for p, st in zip(pairs, next(sets)) if st} == set(graph.edges())
                     verdicts.add(sync)
+                assert next(sets, None) is None
         assert verdicts == {True, False}
 
 
