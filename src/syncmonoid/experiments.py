@@ -12,12 +12,14 @@ what its trial's own ``substream(seed, trial)`` draws, and every trial is
 decided and certified on its image table.  A single map is decided by
 repeated squaring of the maps with one fixed point.  A mix with a map is
 first filtered on that map's periodic points (``_synchronizing_on_cycles``),
-which accepts only synchronizing lanes; the lanes it leaves, and every mix
-without a map, go through the full pair fixpoint in numpy batches of
-``BATCH_BUDGET`` pair targets, many lanes to a call.  The pairs that this
-fixpoint leaves uncollapsed, the separation graph, certify each lane it
-judges not synchronizing: one check per block shows every such set
-nonempty and mapped into itself, unmerged, by every generator.  1% of the
+which accepts only synchronizing lanes.  On two or more points, a lane it
+leaves whose generators are all bijections does not synchronize, and the
+count that shows each generator onto is its certificate.  Every other lane
+goes through the full pair fixpoint in numpy batches of ``BATCH_BUDGET``
+pair targets, many lanes to a call.  The pairs that this fixpoint leaves
+uncollapsed, the separation graph, certify each lane it judges not
+synchronizing: one check per block shows every such set nonempty and
+mapped into itself, unmerged, by every generator.  1% of the
 synchronizing trials replay a reset word: f^(n-1) for a single map f, else
 one built from a step-by-step fixpoint on the trial.
 
@@ -306,19 +308,31 @@ def _synchronizing_on_cycles(tables, r: int) -> np.ndarray:
     return sync
 
 
+def _bijective_lanes(tables) -> np.ndarray:
+    """Lanes of image tables (lanes, k, n) whose every generator is onto, so
+    a bijection: one O(nk) count of the points each generator hits."""
+    hit = np.zeros(tables.shape, dtype=bool)
+    np.put_along_axis(hit, tables, True, axis=2)
+    return hit.all(axis=(1, 2))
+
+
 def _pair_mix_lanes(tables, r: int):
     """Which lanes of a block of image tables (lanes, k, n) synchronize: those
-    that ``_synchronizing_on_cycles`` accepts, when generator r is a map, and
-    all others by the full fixpoint ``_synchronizing_lanes``, which so judged
-    every lane that does not; for those, the pairs it left uncollapsed."""
+    that ``_synchronizing_on_cycles`` accepts, when generator r is a map; on
+    two or more points, not those of bijections alone, whose monoid is a
+    group with no element of rank 1, as ``_bijective_lanes`` certifies; and
+    all others by the full fixpoint ``_synchronizing_lanes``.  Returns the
+    verdicts, the lanes that this fixpoint judged not synchronizing, and the
+    pairs it left uncollapsed on each of them."""
     lanes, k, n = tables.shape
     sync = _synchronizing_on_cycles(tables, r) if r < k else np.zeros(lanes, dtype=bool)
     rest = np.flatnonzero(~sync)
-    if not rest.size:  # the filter accepted every lane
-        return sync, np.zeros((0, n * (n - 1) // 2), dtype=bool)
+    if n > 1:
+        rest = rest[~_bijective_lanes(tables[rest])]
     collapsed = _synchronizing_lanes(n, tables[rest])
     sync[rest] = collapsed.all(axis=1)
-    return sync, np.logical_not(collapsed, out=collapsed)[~sync[rest]]
+    stuck = ~sync[rest]
+    return sync, rest[stuck], np.logical_not(collapsed, out=collapsed)[stuck]
 
 
 def _audit(images) -> None:
@@ -359,9 +373,9 @@ def _run_chunk(args) -> int:
         if (r, s) == (0, 1):
             sync = _single_map_synchronizes(tables[:, 0])
         else:
-            sync, stuck = _pair_mix_lanes(tables, r)
-            if not sync.all():
-                _check_stuck(tables[~sync], stuck)
+            sync, lanes, stuck = _pair_mix_lanes(tables, r)
+            if lanes.size:
+                _check_stuck(tables[lanes], stuck)
         successes += int(np.count_nonzero(sync))
         for i in range(-start % AUDIT_EVERY, len(tables), AUDIT_EVERY):
             if sync[i]:

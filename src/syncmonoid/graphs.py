@@ -6,12 +6,14 @@ coloring, graph endomorphisms, hulls, derived graphs, a maximality test for
 End(x) that searches graphs with a larger End, and a walk over all graphs
 on n vertices that marks each isomorphism class once.
 
-End(x) is enumerated in numpy blocks of image tables
-(``endomorphism_blocks``), and one pass over them (``endomorphism_pass``)
-gives |End(x)|, the hull of x and the End(x)-orbits that the maximality
-test needs.  A backtracking CSP (``_endomorphism_csp``) serves searches
-with pinned images or a forced merge, so ``hull`` for a graph of any n,
-and is the oracle of the blocks.
+End(x) is searched in one way only: numpy blocks of image tables
+(``endomorphism_blocks``), with pinned images or a forced merge if asked,
+whose pending partial maps stay within a bound set by ``BLOCK_ROWS`` and n.
+``endomorphism_search`` is their first row, ``hull`` streams them and runs
+merge searches only on the pairs they leave, and one pass over them
+(``endomorphism_pass``) gives |End(x)|, the hull of x and the End(x)-orbits
+that the maximality test needs.  A backtracking CSP in the tests is the
+oracle of the blocks.
 """
 
 from __future__ import annotations
@@ -295,140 +297,95 @@ def is_endomorphism(x: SimpleGraph, f: Endofunction) -> bool:
     return True
 
 
-def _merge_classes(n: int, require_merge):
-    """Vertex classes after identifying a required-merge pair."""
-    rep = list(range(n))
-    if require_merge is not None:
-        v, w = require_merge
-        if v == w:
-            raise ValueError("require_merge needs two distinct vertices")
-        a, b = min(v, w), max(v, w)
-        rep[b] = a
-    return rep
+def _adjacency(x: SimpleGraph) -> np.ndarray:
+    """Adjacency of x as an n x n bool matrix."""
+    return np.array([[row >> w & 1 for w in range(x.n)] for row in x.rows], dtype=bool)
 
 
-def _endomorphism_csp(x: SimpleGraph, pins=None, require_merge=None):
-    """Backtracking search for edge-preserving maps; yields image tuples.
+def endomorphism_blocks(x: SimpleGraph, pins=None, require_merge=None):
+    """Yield every endomorphism of x once, as the rows of image tables in
+    blocks of at most ``BLOCK_ROWS`` rows (uint8 for n <= 256), in the
+    lexicographic order of their images in the placing order below.
 
-    Variables are vertex classes (a merged pair is one class), ordered by
-    decreasing degree; domains are bitmasks with forward checking.
+    ``pins`` maps vertices to forced images, and ``require_merge=(v, w)``
+    keeps only the maps that send v and w to one point.  Partial maps grow
+    one vertex at a time, by decreasing degree, the two vertices of a merge
+    pair side by side where the degree of their union puts them: a vertex
+    may go to every target adjacent to the images of its placed neighbors,
+    and the second of the pair only to the image of the first.  The search
+    goes depth first and grows at most BLOCK_ROWS // n partial maps (at
+    least one) at a time.  So each of the n levels holds one such chunk and
+    the (row, target) index pairs of its children not grown yet, at most
+    BLOCK_ROWS of them (n when n > BLOCK_ROWS), whatever the size of End(x).
     """
     n = x.n
     rows = x.rows
-    rep = _merge_classes(n, require_merge)
-    classes = sorted({r for r in rep})
-    members = {r: [v for v in range(n) if rep[v] == r] for r in classes}
+    pinned = {}  # vertex -> the targets its pins leave it, as a bool row
+    for v, target in (pins or {}).items():
+        if not (0 <= v < n and 0 <= target < n):
+            raise ValueError(f"pin {v}->{target} out of range")
+        pinned[v] = np.arange(n) == target
+    key = {v: (-bin(rows[v]).count("1"), v) for v in range(n)}
+    tied = None
+    if require_merge is not None:
+        a, tied = sorted(require_merge)
+        if a == tied:
+            raise ValueError("require_merge needs two distinct vertices")
+        if rows[a] >> tied & 1:
+            return  # merging an edge would need a loop
+        key[a] = (-bin(rows[a] | rows[tied]).count("1"), a)
+        key[tied] = key[a] + (1,)  # right after a
+        if tied in pinned:
+            pinned[a] = pinned.pop(tied) & pinned.get(a, True)
+    order = sorted(key, key=key.get)
+    place = [0] * n
+    for i, v in enumerate(order):
+        place[v] = i
+    placed = [[place[w] for w in _bits(rows[v]) if place[w] < i] for i, v in enumerate(order)]
+    adj = _adjacency(x)
 
-    # class-level adjacency; a class with an internal edge cannot map anywhere
-    class_adj = {}
-    for r in classes:
-        mask = 0
-        for v in members[r]:
-            mask |= rows[v]
-        if any(mask >> v & 1 for v in members[r]):
-            return  # merging an edge would create a loop
-        class_adj[r] = mask
+    stack = []  # per level: a chunk of partial maps, and its children not grown yet
 
-    full = (1 << n) - 1
-    domain = {r: full for r in classes}
-    if pins:
-        for v, target in pins.items():
-            if not (0 <= v < n and 0 <= target < n):
-                raise ValueError(f"pin {v}->{target} out of range")
-            r = rep[v]
-            domain[r] &= 1 << target
-            if domain[r] == 0:
-                return  # conflicting pins on a merged pair
+    def push(part):
+        i = part.shape[1]
+        allowed = np.ones((part.shape[0], n), dtype=bool)
+        for j in placed[i]:
+            allowed &= adj[part[:, j]]
+        if order[i] in pinned:
+            allowed &= pinned[order[i]]
+        if order[i] == tied:
+            allowed &= part[:, i - 1, None] == np.arange(n)
+        parents, targets = np.nonzero(allowed)
+        if parents.size:
+            stack.append((part, parents, targets))
 
-    order = sorted(classes, key=lambda r: (-bin(class_adj[r]).count("1"), r))
-    class_pos = {r: i for i, r in enumerate(order)}
-    assignment = {}
-
-    def extend(i: int, domains: dict):
-        if i == len(order):
-            imgs = [0] * n
-            for v in range(n):
-                imgs[v] = assignment[rep[v]]
-            yield tuple(imgs)
-            return
-        r = order[i]
-        for y in _bits(domains[r]):
-            new_domains = domains
-            ok = True
-            changed = None
-            for s in _bits(class_adj[r]):
-                sr = rep[s]
-                if class_pos[sr] > i:
-                    narrowed = new_domains[sr] & rows[y]
-                    if narrowed == 0:
-                        ok = False
-                        break
-                    if narrowed != new_domains[sr]:
-                        if changed is None:
-                            new_domains = dict(new_domains)
-                            changed = True
-                        new_domains[sr] = narrowed
-            if not ok:
-                continue
-            assignment[r] = y
-            yield from extend(i + 1, new_domains)
-            del assignment[r]
-
-    yield from extend(0, domain)
+    step = max(1, BLOCK_ROWS // n)
+    push(np.zeros((1, 0), dtype=np.min_scalar_type(n - 1)))
+    while stack:
+        part, parents, targets = stack.pop()
+        i = part.shape[1]
+        take = BLOCK_ROWS if i + 1 == n else step
+        if parents.shape[0] > take:
+            stack.append((part, parents[take:], targets[take:]))
+        grown = np.empty((min(take, parents.shape[0]), i + 1), dtype=part.dtype)
+        grown[:, :i] = part[parents[:take]]
+        grown[:, i] = targets[:take]
+        if i + 1 == n:
+            yield grown[:, place]
+        else:
+            push(grown)
 
 
 def endomorphism_search(x: SimpleGraph, pins=None, require_merge=None):
     """First endomorphism compatible with the constraints, or None.
 
     ``pins`` maps vertices to forced images; ``require_merge=(v, w)`` demands
-    the images of v and w coincide.  Deterministic: the search order is fixed,
-    so "any endomorphism" is reproducible.
+    the images of v and w coincide.  Deterministic: the first row of
+    ``endomorphism_blocks``, so "any endomorphism" is reproducible.
     """
-    for imgs in _endomorphism_csp(x, pins, require_merge):
-        return Endofunction(imgs)
+    for block in endomorphism_blocks(x, pins, require_merge):
+        return Endofunction(block[0].tolist())
     return None
-
-
-def _adjacency(x: SimpleGraph) -> np.ndarray:
-    """Adjacency of x as an n x n bool matrix."""
-    return np.array([[row >> w & 1 for w in range(x.n)] for row in x.rows], dtype=bool)
-
-
-def endomorphism_blocks(x: SimpleGraph):
-    """Yield every endomorphism of x once, as the rows of image tables in
-    blocks of at most ``BLOCK_ROWS`` rows (uint8 for n <= 256), in the
-    order ``_endomorphism_csp`` yields them.
-
-    Partial maps grow one vertex at a time in the CSP's order, decreasing
-    degree: vertex u may go to every target adjacent to the images of its
-    placed neighbors.  Each grown block is split into pieces of
-    ``BLOCK_ROWS`` rows and the search goes on depth first, so at most n
-    pieces per level wait at any time, for any n.
-    """
-    n = x.n
-    adj = _adjacency(x)
-    order = sorted(range(n), key=lambda v: (-x.degree(v), v))
-    place = [0] * n
-    for i, v in enumerate(order):
-        place[v] = i
-    placed = [[place[w] for w in _bits(x.rows[v]) if place[w] < i] for i, v in enumerate(order)]
-    stack = [np.zeros((1, 0), dtype=np.min_scalar_type(n - 1))]
-    while stack:
-        part = stack.pop()
-        i = part.shape[1]
-        allowed = np.ones((part.shape[0], n), dtype=bool)
-        for j in placed[i]:
-            allowed &= adj[part[:, j]]
-        rows, targets = np.nonzero(allowed)
-        grown = np.empty((rows.shape[0], i + 1), dtype=part.dtype)
-        grown[:, :i] = part[rows]
-        grown[:, i] = targets
-        pieces = [grown[lo : lo + BLOCK_ROWS] for lo in range(0, grown.shape[0], BLOCK_ROWS)]
-        if i + 1 == n:
-            for piece in pieces:
-                yield piece[:, place]
-        else:
-            stack.extend(reversed(pieces))
 
 
 def _capped_blocks(x: SimpleGraph, cap: int, message: str):
@@ -507,18 +464,35 @@ def endomorphism_pass(x: SimpleGraph, cap: int | None = None) -> EndomorphismPas
 def hull(x: SimpleGraph) -> SimpleGraph:
     """Graph whose edges are the pairs no endomorphism of x can merge.
 
-    One merge-CSP per vertex pair, so End(x) is never enumerated, which
-    suits a graph of any n: End(x) has n^n elements for the null graph.
-    Where End(x) is enumerated anyway, ``endomorphism_pass`` reads the same
-    pairs off it.
+    The blocks of End(x) come in one at a time, and each drops the pairs it
+    merges, until a block drops none, no pair is left, or End(x) ends.  If
+    End(x) ended, the pairs left are the hull.  Else each pair left gets a
+    merge search, and each map found drops every pair left that it merges.
+    So the null graph, whose End(x) has n^n maps, is done after one block.
+    ``endomorphism_pass`` reads the same pairs off a whole End(x).
     """
     n = x.n
-    edges = []
-    for v in range(n):
-        for w in range(v + 1, n):
-            if endomorphism_search(x, require_merge=(v, w)) is None:
-                edges.append((v, w))
-    return SimpleGraph.from_edges(n, edges)
+    pairs, _ = pair_numbering(n)
+    first, second, _ = pair_arrays(n)
+    live = np.arange(len(pairs))  # the pairs no map so far merges
+    for block in endomorphism_blocks(x):
+        before, lo = live.size, 0
+        while lo < block.shape[0] and live.size:  # at most BLOCK_ROWS * n pairs compared at once
+            rows = block[lo : lo + max(1, BLOCK_ROWS * n // live.size)]
+            live = live[(rows[:, first[live]] != rows[:, second[live]]).all(axis=0)]
+            lo += rows.shape[0]
+        if live.size in (before, 0):
+            break
+    else:
+        return SimpleGraph.from_edges(n, [pairs[p] for p in live.tolist()])
+    kept = np.zeros(len(pairs), dtype=bool)
+    kept[live] = True
+    for p in live.tolist():
+        if kept[p]:
+            found = next(endomorphism_blocks(x, require_merge=pairs[p]), None)
+            if found is not None:  # its first row merges p and maybe more
+                kept[live[found[0, first[live]] == found[0, second[live]]]] = False
+    return SimpleGraph.from_edges(n, [pairs[p] for p in np.flatnonzero(kept).tolist()])
 
 
 def is_hull(x: SimpleGraph) -> bool:

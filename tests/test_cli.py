@@ -147,6 +147,35 @@ class TestGraphCommands:
         assert (code, out) == (1, "")
         assert "endomorphism count exceeded cap (partial count: 1001)" in err
 
+    def test_endos_cap_bounds_the_pending_rows(self, tmp_path):
+        # the null graph on 100 vertices: the child reports the peak RSS of
+        # its own address space, VmHWM.  RUSAGE_CHILDREN would keep the
+        # largest child of the whole test run, and on Linux RUSAGE_SELF keeps
+        # the RSS that the forked child had before its exec, the test run's.
+        if not Path("/proc/self/status").exists():
+            pytest.skip("VmHWM is read from /proc/self/status")
+        path = tmp_path / "null100.g"
+        path.write_text("100 0\n")
+        script = (
+            "import sys\n"
+            "from syncmonoid.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "with open('/proc/self/status') as status:\n"
+            "    peak = next(line.split()[1] for line in status if line.startswith('VmHWM'))\n"
+            "print(peak, file=sys.stderr)\n"
+            "sys.exit(code)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(syncmonoid.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-c", script, "endos", "--graph", str(path), "--count-only",
+             "--cap", "1000"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        message, peak_kb = done.stderr.splitlines()
+        assert (done.returncode, done.stdout) == (1, "")
+        assert message == "error: endomorphism count exceeded cap (partial count: 1001)"
+        assert int(peak_kb) < 100 * 1024
+
     def test_hull_round_trip(self, capsys, edge_file):
         code, out, _ = run(capsys, ["hull", "--graph", edge_file])
         assert code == 0
@@ -435,8 +464,9 @@ class TestErrorHandling:
     @pytest.mark.parametrize(
         "verdict, generators, message",
         [
-            # two permutations never synchronize: the audit of trial 0 is stuck
-            (True, ["--perms", "2", "--maps-count", "0"], "never collapsed"),
+            # trial 0, a permutation and a map, does not synchronize: its audit
+            # is stuck (two permutations no longer reach the fixpoint)
+            (True, ["--perms", "1", "--maps-count", "1"], "never collapsed"),
             # some trials of two maps synchronize: their stuck set is empty
             (False, ["--k", "2"], "non-synchronization certificate"),
         ],
@@ -478,12 +508,12 @@ class TestErrorHandling:
         marked = []
 
         def marking(tables, r):
-            sync, stuck = decide(tables, r)
+            sync, lanes, stuck = decide(tables, r)
             lane, pair = np.nonzero(~stuck)
             if lane.size and not marked:
                 stuck[lane[-1], pair[-1]] = True
                 marked.append(lane[-1])
-            return sync, stuck
+            return sync, lanes, stuck
 
         monkeypatch.setattr(experiments, "_pair_mix_lanes", marking)
         argv = ["estimate", "--n", "6", "--k", "2", "--trials", "300", "--seed", "9"]

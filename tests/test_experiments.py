@@ -351,6 +351,47 @@ class TestEstimate:
         assert _all_pairs_collapsible(1, [(0,)])
 
 
+def _chi_square_passes(counts, expected) -> bool:
+    """Pearson's statistic against equal cells of ``expected`` each, within
+    dof + 5 sqrt(2 dof) of its mean dof, about 5 standard deviations."""
+    dof = counts.size - 1
+    statistic = float(((counts - expected) ** 2).sum() / expected)
+    return statistic <= dof + 5 * math.sqrt(2 * dof)
+
+
+class TestPermutationMixCalibration:
+    """Mixes with permutations against their exact values, and the joint
+    draw of a permutation and a map against the uniform law.  The lane tests
+    compare the lanes with the scalar streams, which share one rejection
+    sampler, so only tests like these see a bias that both would have."""
+
+    @pytest.mark.parametrize("n, r, s, exact", [(5, 1, 1, Fraction(2277, 3125)),
+                                                (5, 2, 1, Fraction(86567, 93750)),
+                                                (4, 1, 2, Fraction(30737, 32768))])
+    def test_estimate_is_within_four_sigma_of_exact(self, n, r, s, exact):
+        assert exact_sync_probability(n, r, s).fraction == exact
+        trials = 20_000
+        est = estimate_sync_probability(ExperimentConfig(n, r, s, trials, seed=2024))
+        sigma = math.sqrt(trials * exact * (1 - exact))
+        assert abs(est.successes - trials * exact) <= 4 * sigma
+
+    def test_permutation_and_map_draws_are_uniform_and_independent(self):
+        # 65,536 (1, 1) lanes on 4 points: the 24 permutations, the 256 maps
+        # and their 6,144-cell joint table
+        lanes = 2**16
+        tables = np.concatenate([t for _, t in lane_blocks(4, 1, 1, 31, 0, lanes)])
+        weights = 4 ** np.arange(3, -1, -1)
+        perm_codes = np.array(list(itertools.permutations(range(4)))) @ weights
+        rank = np.full(256, -1)
+        rank[perm_codes] = np.arange(24)
+        perms, maps = rank[tables[:, 0] @ weights], tables[:, 1] @ weights
+        assert (perms >= 0).all()
+        assert _chi_square_passes(np.bincount(perms, minlength=24), lanes / 24)
+        assert _chi_square_passes(np.bincount(maps, minlength=256), lanes / 256)
+        joint = np.bincount(perms * 256 + maps, minlength=24 * 256)
+        assert _chi_square_passes(joint, lanes / (24 * 256))
+
+
 class TestLanePath:
     """The block path (lane draws, squaring, the pair fixpoint) against the
     scalar ``_trial_outcome``; ``capped_threshold`` makes the lanes and the
@@ -670,33 +711,66 @@ class TestCertificates:
         assert tested
 
     def test_every_non_synchronizing_pair_trial_is_checked(self, monkeypatch, capped_threshold):
-        checked = []
+        # by its stuck set, or, when both generators are bijections, by the
+        # count that shows them onto
+        checked, onto = [], []
+        bijective = experiments._bijective_lanes
+
+        def counting(tables):
+            found = bijective(tables)
+            onto.extend(tables[found])
+            return found
+
         monkeypatch.setattr(experiments, "_check_stuck",
                             lambda tables, stuck: checked.extend(tables))
+        monkeypatch.setattr(experiments, "_bijective_lanes", counting)
         config = ExperimentConfig(5, 1, 1, 300, seed=12)
         est = estimate_sync_probability(config)
         outcomes = [_trial_outcome(5, 1, 1, substream(config.seed, t)) for t in range(300)]
         expected = [[list(g.images) for g in gens] for ok, gens in outcomes if not ok]
-        assert [images.tolist() for images in checked] == expected
-        assert est.successes == config.trials - len(expected)
+        groups = [[t for t in expected if (sorted(t[1]) == list(range(5))) == group]
+                  for group in (False, True)]
+        assert [[images.tolist() for images in found] for found in (checked, onto)] == groups
+        assert groups[1] and est.successes == config.trials - len(expected)
 
 
     def test_stuck_check_rejects_a_collapsible_pair(self):
         # each block's stuck sets pass; marking any one collapsed pair of any
-        # one lane as stuck fails the check of the whole block
+        # one lane as stuck fails the check of the whole block.  Lanes of
+        # permutations alone are certified without a stuck set, but their
+        # sets, every pair, pass as well.
         tested = 0
         for r, s in FILTER_MIXES + [(2, 0)]:
             for n in range(2, 7):
                 tables = random_tables(n, r, s, Lanes(derive_seeds(200 + n, 0, 100)))
-                sync, stuck = experiments._pair_mix_lanes(tables, r)
-                experiments._check_stuck(tables[~sync], stuck)
+                sync, lanes, stuck = experiments._pair_mix_lanes(tables, r)
+                if s == 0:
+                    assert not sync.any() and not lanes.size
+                    lanes = np.arange(len(tables))
+                    stuck = ~experiments._synchronizing_lanes(n, tables)
+                    assert stuck.all()
+                experiments._check_stuck(tables[lanes], stuck)
                 for lane, pair in zip(*np.nonzero(~stuck)):
                     marked = stuck.copy()
                     marked[lane, pair] = True
                     with pytest.raises(VerificationError, match="non-synchronization certificate"):
-                        experiments._check_stuck(tables[~sync], marked)
+                        experiments._check_stuck(tables[lanes], marked)
                     tested += 1
         assert tested > 500
+
+    def test_a_lane_with_one_non_bijection_takes_the_fixpoint(self, monkeypatch):
+        # (2, 0) lanes on 5 points, one generator of lane 3 made to merge 0
+        # and 1: only that lane goes through the fixpoint
+        tables = random_tables(5, 2, 0, Lanes(derive_seeds(17, 0, 8)))
+        tables[3, 1, 1] = tables[3, 1, 0]
+        fixpoint, seen = experiments._synchronizing_lanes, []
+        monkeypatch.setattr(experiments, "_synchronizing_lanes",
+                            lambda n, rows: seen.append(rows.tolist()) or fixpoint(n, rows))
+        sync, lanes, stuck = experiments._pair_mix_lanes(tables, 2)
+        assert seen == [[tables[3].tolist()]]
+        expected = _all_pairs_collapsible(5, tables[3])
+        assert sync.tolist() == [False] * 3 + [expected] + [False] * 4
+        assert lanes.tolist() == ([] if expected else [3])
 
     def test_each_verdict_is_certified_from_its_deciding_state(self, monkeypatch):
         # the mc_pairs sweep in blocks of at most 409 lanes: _collapse_steps
@@ -759,19 +833,21 @@ class TestClosureCorpus:
                     _scalar_draws(n, r, s, substream(1000 * n + 10 * r + s, t)) for t in range(10)
                 ]
                 tables = np.array([_table(gens) for gens in drawn])
-                decided, stuck = experiments._pair_mix_lanes(tables, r)
-                sets = iter(stuck.tolist())
-                for gens, sync in zip(drawn, decided.tolist()):
+                decided, lanes, stuck = experiments._pair_mix_lanes(tables, r)
+                sets = dict(zip(lanes.tolist(), stuck.tolist()))
+                for lane, (gens, sync) in enumerate(zip(drawn, decided.tolist())):
                     closure = monoid_closure(GeneratorSet(gens))
                     assert sync == _all_pairs_collapsible(n, [g.images for g in gens])
                     assert sync == (min(rank(m) for m in closure) == 1)
                     graph = separation_graph(GeneratorSet(gens))
                     assert graph == separation_graph_of_elements(closure)
-                    if not sync:  # the stuck set is the separation graph
+                    bijections = all(len(set(g.images)) == n for g in gens)
+                    if not sync and not bijections:  # the stuck set is the separation graph
                         pairs, _ = pair_numbering(n)
-                        assert {p for p, st in zip(pairs, next(sets)) if st} == set(graph.edges())
+                        stuck_pairs = {p for p, st in zip(pairs, sets.pop(lane)) if st}
+                        assert stuck_pairs == set(graph.edges())
                     verdicts.add(sync)
-                assert next(sets, None) is None
+                assert not sets
         assert verdicts == {True, False}
 
 

@@ -33,6 +33,8 @@ from syncmonoid import (
 from syncmonoid import graphs
 from syncmonoid.graphs import edges_from_bits, graph_classes, pair_numbering
 
+from conftest import _endomorphism_csp
+
 
 def c5():
     return SimpleGraph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
@@ -218,10 +220,20 @@ def small_graphs():
     yield from enumerate_graphs(6, canonical=True)
 
 
+def constraints(n):
+    """Keyword arguments of an End(x) search on n vertices: none, then each
+    merge pair, then each single pin."""
+    yield {}
+    for pair in itertools.combinations(range(n), 2):
+        yield {"require_merge": pair}
+    for v, target in itertools.product(range(n), repeat=2):
+        yield {"pins": {v: target}}
+
+
 def csp_pass(x):
     """|End(x)|, hull and orbits the slow way: every table from the CSP."""
     pairs, offs = pair_numbering(x.n)
-    tables = list(graphs._endomorphism_csp(x))
+    tables = list(_endomorphism_csp(x))
     kept, orbits = [], set()
     for v, w in pairs:
         images = {(min(f[v], f[w]), max(f[v], f[w])) for f in tables}
@@ -229,6 +241,13 @@ def csp_pass(x):
             kept.append((v, w))
             orbits.add(sum(1 << (offs[a] + b) for a, b in images))
     return len(tables), SimpleGraph.from_edges(x.n, kept), orbits
+
+
+def csp_hull(x):
+    """The hull the slow way: one CSP merge search per pair."""
+    pairs, _ = pair_numbering(x.n)
+    kept = [pair for pair in pairs if next(_endomorphism_csp(x, require_merge=pair), None) is None]
+    return SimpleGraph.from_edges(x.n, kept)
 
 
 class TestEndomorphismBlocks:
@@ -239,7 +258,40 @@ class TestEndomorphismBlocks:
             assert all(b.dtype == np.uint8 and 0 < b.shape[0] <= graphs.BLOCK_ROWS
                        for b in blocks)
             rows = [tuple(row) for b in blocks for row in b.tolist()]
-            assert rows == list(graphs._endomorphism_csp(x))
+            assert rows == list(_endomorphism_csp(x))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_constrained_blocks_and_search_equal_the_csp(self, n):
+        # every graph of small_graphs() under every constraint: the same rows
+        # in the same order, and the search's map is the first of them
+        cases = 0
+        for x in enumerate_graphs(n, canonical=n == 6):
+            for kwargs in constraints(n):
+                expected = list(_endomorphism_csp(x, **kwargs))
+                blocks = list(graphs.endomorphism_blocks(x, **kwargs))
+                assert all(b.dtype == np.uint8 and 0 < b.shape[0] <= graphs.BLOCK_ROWS
+                           for b in blocks)
+                assert [tuple(row) for b in blocks for row in b.tolist()] == expected
+                found = endomorphism_search(x, **kwargs)
+                assert (found and found.images) == (expected[0] if expected else None)
+                cases += 1
+        # with n <= 5, the 38,454 searches of every labeled graph
+        assert cases == {1: 2, 2: 12, 3: 104, 4: 1472, 5: 36864, 6: 8112}[n]
+
+    @pytest.mark.parametrize("budget", [1, 7])
+    def test_block_budget_keeps_the_constrained_rows(self, monkeypatch, budget):
+        monkeypatch.setattr(graphs, "BLOCK_ROWS", budget)
+        for x in [*enumerate_graphs(4), c5()]:
+            for kwargs in constraints(x.n):
+                blocks = list(graphs.endomorphism_blocks(x, **kwargs))
+                assert all(0 < b.shape[0] <= budget for b in blocks)
+                rows = [tuple(row) for b in blocks for row in b.tolist()]
+                assert rows == list(_endomorphism_csp(x, **kwargs))
+
+    def test_pins_out_of_range_are_refused(self):
+        for pins in ({3: 0}, {0: 3}, {-1: 0}, {0: -1}):
+            with pytest.raises(ValueError, match="out of range"):
+                endomorphism_search(SimpleGraph.null(3), pins=pins)
 
     @pytest.mark.parametrize("budget", [1, 7])
     def test_block_budget_does_not_change_the_rows(self, monkeypatch, budget):
@@ -315,6 +367,17 @@ class TestHull:
         for g in enumerate_graphs(4):
             h = hull(g)
             assert hull(h) == h
+
+    def test_hull_equals_the_merge_oracle(self):
+        for x in small_graphs():
+            assert hull(x) == csp_hull(x)
+
+    @pytest.mark.parametrize("n", [10, 11, 12])
+    @pytest.mark.parametrize("p", [15, 25, 50, 75])
+    def test_hull_of_random_graphs_equals_the_merge_oracle(self, n, p):
+        for seed in range(3):
+            x = random_graph(n, substream(seed, 0), p, 100)
+            assert hull(x) == csp_hull(x)
 
     def test_matches_endomorphism_enumeration_route(self):
         # per-pair CSP route vs the literal definition on listed elements
