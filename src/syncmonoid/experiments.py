@@ -45,6 +45,7 @@ from .graphs import (  # bench/tracing.py hooks several of these names here
     chromatic_number,
     clique_number,
     derived_graph,
+    drop_pair_arrays,
     edges_from_bits,
     endomorphism_count,
     endomorphism_pass,
@@ -808,7 +809,8 @@ def sweep(n_values, configs, seed: int, threads: int = 1) -> list[dict]:
         ExperimentConfig(n, r, s, trials, derive_seed(seed, index))
         for index, (n, (r, s, trials)) in enumerate(itertools.product(n_values, configs))
     ]
-    return [
-        estimate_record("sweep", config, estimate_sync_probability(config, threads=threads))
-        for config in rows
-    ]
+    records = []
+    for config in rows:
+        drop_pair_arrays(keep=config.n)  # an earlier row's large arrays go before this row's
+        records.append(estimate_record("sweep", config, estimate_sync_probability(config, threads=threads)))
+    return records

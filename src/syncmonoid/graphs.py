@@ -139,12 +139,34 @@ def pair_numbering(n: int) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]
     return pairs, offs
 
 
-@functools.lru_cache(maxsize=None)
+# pair_arrays keeps the arrays of every n up to PAIR_ARRAYS_KEPT (under 1 MB
+# each) for the life of the process, as the cycle filter asks for those of
+# each |C| in every block; a larger n's (256 MB at n = 4,000) stay until
+# drop_pair_arrays, which sweep calls between rows.
+PAIR_ARRAYS_KEPT = 256
+_pair_arrays: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
+
 def pair_arrays(n: int):
     """``pair_numbering(n)`` as read-only intp arrays: first points, second
     points (the same lexicographic order), and the flat n*n pair-index
     table whose entry a*n + b is the index of pair {a, b}, or the number
-    of pairs n(n-1)/2 (a merged pair) when a == b."""
+    of pairs n(n-1)/2 (a merged pair) when a == b.  Built once per n, and
+    kept as the comment on ``PAIR_ARRAYS_KEPT`` says."""
+    arrays = _pair_arrays.get(n)
+    if arrays is None:
+        arrays = _pair_arrays[n] = _build_pair_arrays(n)
+    return arrays
+
+
+def drop_pair_arrays(keep: int) -> None:
+    """Forget the pair arrays of every n above ``PAIR_ARRAYS_KEPT`` except
+    n = ``keep``."""
+    for n in [n for n in _pair_arrays if n > PAIR_ARRAYS_KEPT and n != keep]:
+        del _pair_arrays[n]
+
+
+def _build_pair_arrays(n: int):
     first, second = np.triu_indices(n, 1)
     index = np.full((n, n), first.size, dtype=np.intp)
     index[first, second] = index[second, first] = np.arange(first.size)

@@ -83,10 +83,6 @@ def _mix64_lanes(z):
     return z ^ (z >> np.uint64(31))
 
 
-def _rotl_lanes(x, k: int):
-    return (x << np.uint64(k)) | (x >> np.uint64(64 - k))
-
-
 class Lanes:
     """xoshiro256** on many streams at once, one ``uint64`` lane each.
 
@@ -112,17 +108,30 @@ class Lanes:
 
     def next_u64(self, lanes=None):
         """One xoshiro256** step on every lane, or only on the lanes that the
-        index array ``lanes`` names; a new ``uint64`` array."""
+        index array ``lanes`` names; a new ``uint64`` array.
+
+        Fourteen numpy passes, two of them into new arrays: the output, and
+        one scratch array for the shifted words.  The state words step in
+        place.  The output's rotl(5 s1, 7) is taken as (5 s1 << 7) + (5 s1
+        >> 57): the two halves share no bit, so the sum is the bitwise or.
+        The shifts and factors are Python ints, which numpy applies to the
+        ``uint64`` words without building a scalar on each call."""
         state = self._state if lanes is None else [word[lanes] for word in self._state]
         s0, s1, s2, s3 = state
-        result = _rotl_lanes(s1 * np.uint64(5), 7) * np.uint64(9)
-        t = s1 << np.uint64(17)
+        result = s1 * 5
+        spare = result >> 57
+        result <<= 7
+        result += spare
+        result *= 9
+        np.left_shift(s1, 17, out=spare)
         s2 ^= s0
         s3 ^= s1
         s1 ^= s2
         s0 ^= s3
-        s2 ^= t
-        state[3] = _rotl_lanes(s3, 45)
+        s2 ^= spare
+        np.right_shift(s3, 19, out=spare)  # s3 = rotl(s3, 45)
+        s3 <<= 45
+        s3 |= spare
         if lanes is not None:
             for word, stepped in zip(self._state, state):
                 word[lanes] = stepped
@@ -130,17 +139,25 @@ class Lanes:
 
     def randbelow(self, bound: int):
         """``Stream.randbelow(bound)`` on every lane: a lane whose draw is
-        rejected draws again, alone, until it is accepted."""
+        rejected draws again, alone, until it is accepted.
+
+        One reduction, the maximum, tests the whole step for a rejection.
+        The remainder is u - (u // bound) * bound, in place: numpy divides by
+        a scalar without a hardware division, which ``%`` does not."""
         threshold = _threshold(bound)
         u = self.next_u64()
-        if threshold < 1 << 64:  # else bound divides 2**64: nothing is rejected
+        if int(u.max(initial=0)) >= threshold:  # never when bound divides 2**64
             limit = np.uint64(threshold)
-            rejected = u >= limit
-            while rejected.any():
-                lanes = np.flatnonzero(rejected)
-                u[lanes] = self.next_u64(lanes)
-                rejected = u >= limit
-        return u % np.uint64(bound) if bound < 1 << 64 else u
+            lanes = np.flatnonzero(u >= limit)
+            while lanes.size:
+                redrawn = self.next_u64(lanes)
+                u[lanes] = redrawn
+                lanes = lanes[redrawn >= limit]
+        if bound < 1 << 64:
+            quotient = u // bound
+            quotient *= bound
+            u -= quotient
+        return u
 
 
 def derive_seed(master_seed: int, index: int) -> int:

@@ -200,16 +200,18 @@ def random_tables(n: int, num_permutations: int, num_endofunctions: int, lanes: 
     lane's stream."""
     if n < 1:
         raise ValueError("degree must be at least 1")
-    count = len(lanes)
-    out = np.empty((count, num_permutations + num_endofunctions, n), dtype=np.intp)
-    rows = np.arange(count)
+    k = num_permutations + num_endofunctions
+    out = np.empty((len(lanes), k, n), dtype=np.intp)
+    flat = out.reshape(-1)
     for g in range(num_permutations):
         imgs = out[:, g]
         imgs[:] = np.arange(n)
+        starts = np.arange(g * n, flat.size, k * n)  # where each lane's table g starts in flat
         for i in range(n - 1, 0, -1):  # Fisher-Yates, one column for all lanes
-            j = lanes.randbelow(i + 1).astype(np.intp)
-            picked = imgs[rows, j]
-            imgs[rows, j] = imgs[:, i]
+            j = lanes.randbelow(i + 1).view(np.intp)  # below i + 1: the same number as an intp
+            j += starts
+            picked = flat.take(j)
+            flat[j] = imgs[:, i]
             imgs[:, i] = picked
     for g in range(num_permutations, num_permutations + num_endofunctions):
         for v in range(n):

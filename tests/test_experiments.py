@@ -37,7 +37,7 @@ from syncmonoid import (
     wilson_interval,
 )
 import syncmonoid
-from syncmonoid import experiments, transform
+from syncmonoid import experiments, graphs, transform
 from syncmonoid.cli import main
 from syncmonoid.errors import VerificationError
 from syncmonoid.experiments import (
@@ -1077,6 +1077,20 @@ class TestSweep:
         monkeypatch.setattr(experiments, "pair_arrays", never)
         with pytest.raises(ValueError, match="pair"):
             sweep([4, 5, 5794], self.CONFIG, seed=1)
+
+    def test_pair_arrays_of_a_large_n_are_built_once_a_row(self, monkeypatch):
+        # each row has two blocks and asks for the arrays of its n in each; a
+        # large n's arrays go when a row of another n starts, small ones stay
+        built = []
+        build = graphs._build_pair_arrays
+        monkeypatch.setattr(graphs, "_pair_arrays", {})
+        monkeypatch.setattr(graphs, "_build_pair_arrays", lambda n: built.append(n) or build(n))
+        sweep([300, 400, 300], [(0, 2, 300), (1, 1, 300)], seed=3)
+        large = [n for n in built if n > graphs.PAIR_ARRAYS_KEPT]
+        assert large == [300, 400, 300]
+        small = [n for n in built if n <= graphs.PAIR_ARRAYS_KEPT]
+        assert small and len(small) == len(set(small))
+        assert [n for n in graphs._pair_arrays if n > graphs.PAIR_ARRAYS_KEPT] == [300]
 
     def test_rows_reproducible_from_their_own_seed(self):
         record = sweep([6], self.CONFIG, seed=13)[0]

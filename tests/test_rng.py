@@ -2,6 +2,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from syncmonoid import Stream, derive_seed, substream
 from syncmonoid.rng import Lanes, derive_seeds
@@ -134,3 +136,78 @@ def test_lanes_take_seeds_as_a_stream_does():
     assert Lanes(masked).next_u64().tolist() == by_list
     assert Lanes(np.array([-1], dtype=np.int64)).next_u64().tolist() == by_list[2:3]
     assert Lanes(derive_seeds(5, 0, 0)).next_u64().shape == (0,)
+
+
+# the bounds where a bounded draw changes shape: no rejection (powers of two),
+# the most and the fewest rejections next to them, and the two ends
+EDGE_BOUNDS = sorted({2**j + d for j in range(65) for d in (-1, 0, 1)} - {0, 2**64 + 1})
+
+
+def _assert_states_equal(lanes, streams):
+    for word, slot in zip(lanes._state, Stream.__slots__):
+        assert word.tolist() == [getattr(stream, slot) for stream in streams]
+
+
+@pytest.mark.parametrize("capped", [False, True], ids=["exact", "capped"])
+@pytest.mark.parametrize("count", [1, 63, 64, 4369])
+@settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(master=st.integers(0, 2**64 - 1), bound=st.sampled_from(EDGE_BOUNDS) | st.integers(1, 2**64))
+@example(master=7, bound=1)
+@example(master=7, bound=2**54 + 1)
+@example(master=7, bound=2**63 + 1)
+@example(master=7, bound=2**64)
+def test_lane_draws_equal_the_substreams(request, capped, count, master, bound):
+    # 4,369 lanes make one block of the n = 30 single-map runs; 2**54 + 1
+    # rejects about one draw in 1,024, so a few lanes of such a block redraw
+    if capped:
+        request.getfixturevalue("capped_threshold")
+    lanes = Lanes(derive_seeds(master, 0, count))
+    streams = [substream(master, i) for i in range(count)]
+    for _ in range(3):
+        assert lanes.randbelow(bound).tolist() == [stream.randbelow(bound) for stream in streams]
+    _assert_states_equal(lanes, streams)
+
+
+@pytest.mark.parametrize("capped", [False, True], ids=["exact", "capped"])
+def test_lanes_draw_every_edge_bound_as_the_streams_do(request, capped):
+    if capped:
+        request.getfixturevalue("capped_threshold")
+    for count in (1, 63, 64):
+        lanes = Lanes(derive_seeds(21, 0, count))
+        streams = [substream(21, i) for i in range(count)]
+        for bound in EDGE_BOUNDS:
+            for _ in range(3):
+                assert lanes.randbelow(bound).tolist() == [stream.randbelow(bound) for stream in streams]
+        _assert_states_equal(lanes, streams)
+
+
+def test_steps_of_some_lanes_interleave_with_steps_of_all():
+    count = 97
+    lanes = Lanes(derive_seeds(3, 0, count))
+    streams = [substream(3, i) for i in range(count)]
+    pick = np.random.default_rng(5)
+    for size in (1, 40, 0, 96, count, 17):
+        subset = pick.choice(count, size, replace=False)  # in no particular order
+        assert lanes.next_u64(subset).tolist() == [streams[i].next_u64() for i in subset]
+        _assert_states_equal(lanes, streams)
+        assert lanes.next_u64().tolist() == [stream.next_u64() for stream in streams]
+        _assert_states_equal(lanes, streams)
+
+
+@pytest.mark.parametrize("capped", [False, True], ids=["exact", "capped"])
+def test_a_drawn_array_is_not_the_state(request, capped):
+    # the state steps in place: no array handed out may share its memory
+    if capped:
+        request.getfixturevalue("capped_threshold")
+    lanes = Lanes(derive_seeds(9, 0, 50))
+    drawn = [lanes.next_u64(), lanes.next_u64(np.arange(0, 50, 3)),
+             lanes.randbelow(30), lanes.randbelow(2**63 + 1), lanes.randbelow(2**64)]
+    kept = [values.copy() for values in drawn]
+    for _ in range(3):
+        lanes.next_u64()
+        lanes.next_u64(np.arange(7))
+        lanes.randbelow(2**63 + 1)
+        lanes.randbelow(2**64)
+    for values, copy in zip(drawn, kept):
+        assert values.tolist() == copy.tolist()
+        assert not any(np.shares_memory(values, word) for word in lanes._state)
